@@ -9,6 +9,8 @@ and the floating-point oracle comparison pass.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from fractions import Fraction
 
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=["complex", "real", "auto"],
             default="auto",
-            help="factorization mode (auto tries complex, falls back to real)",
+            help="factorization mode (auto: complex when every eigenvalue is in Q(i), else real)",
         )
         p.add_argument(
             "--format",
@@ -152,24 +154,15 @@ def _parse_y0(text: str) -> tuple:
 
 
 def _parse_times(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
-
-
-def _factor_for_mode(charpoly, mode: str, hints):
-    """Factor per the requested mode; auto prefers complex."""
-    if mode == "complex":
-        return factor_charpoly(charpoly, "complex", hints), "complex"
-    if mode == "real":
-        return factor_charpoly(charpoly, "real", hints), "real"
-    try:
-        return factor_charpoly(charpoly, "complex", hints), "complex"
-    except IrrationalSpectrum:
-        return factor_charpoly(charpoly, "real", hints), "real"
+    times = [float(tok) for tok in text.split(",")]
+    if not all(math.isfinite(t) for t in times):
+        raise UsageError(f"--t needs finite sample times, got {text!r}")
+    return times
 
 
 def _cmd_charpoly(a: Matrix, args, hints) -> str:
     charpoly, _ = faddeev_leverrier(a)
-    factored, _ = _factor_for_mode(charpoly, args.mode, hints)
+    factored = factor_charpoly(charpoly, args.mode, hints)
     return rio.render_charpoly(charpoly, factored, args.fmt)
 
 
@@ -236,7 +229,8 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
         )
     )
 
-    factored, mode_used = _factor_for_mode(charpoly, mode, hints)
+    factored = factor_charpoly(charpoly, mode, hints)
+    mode_used = factored.mode
     checks.append(
         CheckResult(
             "factor_roundtrip",
@@ -274,41 +268,49 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
         )
     )
     for t in times:
-        err = relative_error(exp_eval(cf, t), numeric_oracle_exp(a, t))
         checks.append(
-            CheckResult(
-                f"oracle[t={t:g}]",
-                err <= ORACLE_TOLERANCE,
-                f"relative error {err:.3e} vs scaling-and-squaring",
+            _float_check(
+                f"oracle[t={t:g}]", t, ORACLE_TOLERANCE,
+                lambda: (exp_eval(cf, t), numeric_oracle_exp(a, t)),
+                "relative error {:.3e} vs scaling-and-squaring",
             )
         )
     for t1, t2 in ((0.1, 0.2), (0.5, 0.5)):
-        combined = exp_eval(cf, t1 + t2)
-        split = _float_product(exp_eval(cf, t1), exp_eval(cf, t2))
-        err = relative_error(split, combined)
         checks.append(
-            CheckResult(
-                f"semigroup[{t1:g}+{t2:g}]",
-                err <= SEMIGROUP_TOLERANCE,
-                f"relative error {err:.3e}",
+            _float_check(
+                f"semigroup[{t1:g}+{t2:g}]", t1 + t2, SEMIGROUP_TOLERANCE,
+                lambda: (_float_product(exp_eval(cf, t1), exp_eval(cf, t2)), exp_eval(cf, t1 + t2)),
+                "relative error {:.3e}",
             )
         )
     if mode_used == "complex":
         try:
-            real_factored = factor_charpoly(charpoly, "real")
+            real_factored = factored.view("real")
         except (IrrationalSpectrum, RepeatedQuadraticFactor):
             real_factored = None
         if real_factored is not None:
             real_cf = exp_from_pfd(pfd_real(real_factored, adjugate, a))
-            err = relative_error(exp_eval(real_cf, 0.5), exp_eval(cf, 0.5))
             checks.append(
-                CheckResult(
-                    "mode_agreement",
-                    err <= MODE_AGREEMENT_TOLERANCE,
-                    f"real and complex closed forms agree numerically ({err:.3e})",
+                _float_check(
+                    "mode_agreement", 0.5, MODE_AGREEMENT_TOLERANCE,
+                    lambda: (exp_eval(real_cf, 0.5), exp_eval(cf, 0.5)),
+                    "real and complex closed forms agree numerically ({:.3e})",
                 )
             )
     return checks
+
+
+def _float_check(name: str, t: float, tolerance: float, evaluate, detail: str) -> CheckResult:
+    """Compare two float matrices from evaluate(); overflow is a named FAIL."""
+    try:
+        x, y = evaluate()
+        finite = all(cmath.isfinite(v) for m in (x, y) for row in m for v in row)
+    except OverflowError:
+        finite = False
+    if not finite:
+        return CheckResult(name, False, f"float overflow at t={t:g}")
+    err = relative_error(x, y)
+    return CheckResult(name, err <= tolerance, detail.format(err))
 
 
 def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, IrrationalSpectrum
+from .errors import DimensionMismatch
 from .linalg import Matrix, faddeev_leverrier, mat_vec
 from .pfd import ResolventPFD, pfd_real, pfd_residue
 from .polynomials import factor_charpoly
@@ -291,16 +291,9 @@ def decompose(a: Matrix, mode: str = "auto", hints=None):
     not expressible over Q(i).
     """
     charpoly, adjugate = faddeev_leverrier(a)
-    if mode not in ("auto", "complex", "real"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode in ("auto", "complex"):
-        try:
-            factored = factor_charpoly(charpoly, "complex", hints)
-            return pfd_residue(factored, adjugate, a)
-        except IrrationalSpectrum:
-            if mode == "complex":
-                raise
-    factored = factor_charpoly(charpoly, "real", hints)
+    factored = factor_charpoly(charpoly, mode, hints)
+    if factored.mode == "complex":
+        return pfd_residue(factored, adjugate, a)
     return pfd_real(factored, adjugate, a)
 
 

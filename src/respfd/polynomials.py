@@ -6,20 +6,22 @@ may be Fractions or GaussianRationals (or anything else implementing exact
 field arithmetic); mixed arithmetic works through the scalar operator
 protocol.
 
-Also home to the characteristic-polynomial factorizer, which covers exactly
-the factor shapes this package supports: linear factors with roots in Q
-(both modes) or Q(i) (complex mode), plus simple irreducible quadratic
-factors (s+a)^2 + d over Q (real mode).  Anything else raises
-IrrationalSpectrum rather than approximating.
+Also home to the characteristic-polynomial factorizer.  It factors the
+polynomial once, exactly, over Q (p-adic lifting in zfactor, any degree) into
+rational roots and irreducible quadratics (s+a)^2 + d, and reads that one
+factorization per mode: complex mode splits each quadratic into a conjugate
+pair in Q(i), real mode keeps the quadratics with d > 0 (each simple), and
+auto takes the complex reading when it exists.  An irreducible factor of
+degree >= 3, or a quadratic the mode cannot read, raises IrrationalSpectrum
+naming that factor rather than approximating.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SingularSeriesDivision
 from .scalars import (
@@ -30,6 +32,7 @@ from .scalars import (
     rational_sqrt,
     scalar_key,
 )
+from .zfactor import factor_integer, primitive
 
 
 def _strip(coeffs: Sequence[Scalar]) -> tuple:
@@ -239,8 +242,10 @@ class FactoredCharPoly:
     def expand(self) -> Poly:
         """Multiply all factors back out; the round-trip oracle for tests."""
         out = Poly.constant(Fraction(1))
+        zero = (Fraction(0),)
         for root, mult in self.linear:
-            out = out * (Poly.linear(root) ** mult)
+            for _ in range(mult):  # out * (s - root), coefficient by coefficient
+                out = Poly(tuple(lo - root * hi for lo, hi in zip(zero + out.coeffs, out.coeffs + zero)))
         for a, d in self.quadratic:
             out = out * Poly((a * a + d, 2 * a, Fraction(1)))
         return out
@@ -248,207 +253,105 @@ class FactoredCharPoly:
     def eigenvalues(self) -> tuple:
         return tuple(root for root, _ in self.linear)
 
-
-def _primitive_integer_coeffs(p: Poly) -> list[int]:
-    """Scale rational coefficients to integers and divide out the content."""
-    common = 1
-    for c in p.coeffs:
-        d = as_fraction(c).denominator
-        common = common * d // math.gcd(common, d)
-    ints = [int(as_fraction(c) * common) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
-    return [v // content for v in ints]
-
-
-def _divisors(n: int) -> Iterable[int]:
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+    def view(self, mode: str) -> "FactoredCharPoly":
+        """The same factorization read in another mode (see factor_charpoly)."""
+        rational, quadratic = {}, {}
+        for root, mult in self.linear:
+            if isinstance(root, GaussianRational) and root.im:
+                if root.im > 0:
+                    quadratic[(-root.re, root.im * root.im)] = mult
+            else:
+                rational[as_fraction(root)] = mult
+        for shape in self.quadratic:
+            quadratic[shape] = 1
+        return _view(rational, quadratic, mode)
 
 
-def _rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, by the rational-root theorem.
+def _irreducible_factors(p: Poly) -> tuple[dict, dict]:
+    """Factor a monic rational p over Q into roots and quadratics.
 
-    Deflates p as roots are found, so multiplicities are exact.  Returns the
-    (possibly trivial) list; the deflated quotient is recomputed by callers
-    via exact division.
+    Returns ({rational root: mult}, {(a, d): mult}) where (a, d) stands for
+    the irreducible quadratic (s+a)^2 + d.  A factor of degree >= 3 raises
+    IrrationalSpectrum naming it.
     """
-    roots: list[tuple[Fraction, int]] = []
-    work = p
-    # strip roots at zero first
-    mult0 = 0
-    while not work.is_zero and not work.coeff(0):
-        work = work // Poly.variable()
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
-    if work.degree < 1:
-        return roots
-    ints = _primitive_integer_coeffs(work)
-    lead, const = ints[-1], ints[0]
-    candidates = set()
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        if work.degree < 1:
-            break
-        if work.eval(cand):
-            continue
-        mult = 0
-        factor = Poly.linear(cand)
-        while True:
-            quot, rem = divmod(work, factor)
-            if not rem.is_zero:
-                break
-            work = quot
-            mult += 1
-        roots.append((cand, mult))
-    return roots
-
-
-def _deflate(p: Poly, root: Scalar, multiplicity: int) -> Poly:
-    """Divide p by (s - root)^multiplicity, verifying exactness."""
-    factor = Poly.linear(root)
-    for _ in range(multiplicity):
-        quot, rem = divmod(p, factor)
-        if not rem.is_zero:
-            raise HintMismatch(f"{root} does not divide the polynomial as claimed")
-        p = quot
-    return p
-
-
-def _quadratic_shape(q: Poly) -> tuple[Fraction, Fraction] | None:
-    """Write a monic rational quadratic as (s+a)^2 + d; None unless d > 0."""
-    a = as_fraction(q.coeff(1)) / 2
-    d = as_fraction(q.coeff(0)) - a * a
-    return (a, d) if d > 0 else None
-
-
-def _gaussian_roots_of_quadratic(q: Poly) -> tuple[GaussianRational, GaussianRational] | None:
-    """Roots of a monic rational quadratic inside Q(i), if they exist there."""
-    b = as_fraction(q.coeff(1))
-    c = as_fraction(q.coeff(0))
-    disc = b * b - 4 * c
-    if disc >= 0:
-        # a rational square root would have been found as rational roots
-        return None
-    root = rational_sqrt(-disc)
-    if root is None:
-        return None
-    re = -b / 2
-    im = root / 2
-    return GaussianRational(re, im), GaussianRational(re, -im)
-
-
-def _split_quartic(p: Poly) -> tuple[Poly, Poly] | None:
-    """Split a monic rational quartic into two monic rational quadratics.
-
-    Uses the resolvent cubic of the depressed quartic; returns None when no
-    rational split exists.
-    """
-    b = as_fraction(p.coeff(3))
-    shift = -b / 4
-    h = p.shift(shift)  # depressed: s^4 + P s^2 + Q s + R
-    P = as_fraction(h.coeff(2))
-    Q = as_fraction(h.coeff(1))
-    R = as_fraction(h.coeff(0))
-
-    def unshift(f: Poly) -> Poly:
-        return f.shift(-shift)
-
-    if Q == 0:
-        disc = P * P - 4 * R
-        root = rational_sqrt(disc)
-        if root is not None:
-            z = (P + root) / 2
-            w = (P - root) / 2
-            return unshift(Poly((z, Fraction(0), Fraction(1)))), unshift(
-                Poly((w, Fraction(0), Fraction(1)))
+    common = math.lcm(*(as_fraction(c).denominator for c in p.coeffs))
+    rational, quadratic = {}, {}
+    for f, mult in factor_integer(primitive([int(as_fraction(c) * common) for c in p.coeffs])):
+        if len(f) == 2:
+            rational[Fraction(-f[0], f[1])] = mult
+        elif len(f) == 3:
+            a = Fraction(f[1], 2 * f[2])
+            quadratic[(a, Fraction(f[0], f[2]) - a * a)] = mult
+        else:
+            q = Poly(tuple(Fraction(c, f[-1]) for c in f))
+            raise IrrationalSpectrum(
+                f"irreducible factor {q} of degree {q.degree} has roots outside Q(i)",
+                residual=q,
             )
-    cubic = Poly((-Q * Q, P * P - 4 * R, 2 * P, Fraction(1)))
-    for u, _ in _rational_roots(cubic):
-        if u <= 0:
-            continue
-        y = rational_sqrt(u)
-        if y is None:
-            continue
-        w = (P + u + Q / y) / 2
-        z = (P + u - Q / y) / 2
-        if z * w != R:
-            continue
-        return unshift(Poly((z, y, Fraction(1)))), unshift(Poly((w, -y, Fraction(1))))
-    return None
+    return rational, quadratic
 
 
-def _verify_hints(p: Poly, mode: str, hints) -> tuple[Poly, list]:
-    """Deflate verified hinted roots out of p; returns (residual, linear factors)."""
-    found: dict = {}
-    work = p
+def _view(rational: dict, quadratic: dict, mode: str) -> FactoredCharPoly:
+    """Read one factorization over Q in complex, real or auto mode."""
+    if mode == "auto":
+        try:
+            return _view(rational, quadratic, "complex")
+        except IrrationalSpectrum:
+            return _view(rational, quadratic, "real")
+    linear, shapes = dict(rational), []
+    for (a, d), mult in sorted(quadratic.items()):
+        q = Poly((a * a + d, 2 * a, Fraction(1)))
+        beta = rational_sqrt(d)
+        if d < 0 or (mode == "complex" and beta is None):
+            why = "has real irrational roots" if d < 0 else "has no Gaussian-rational roots"
+            raise IrrationalSpectrum(
+                f"cannot factor {q} over the supported field ({mode} mode): quadratic {why}",
+                residual=q,
+            )
+        if mode == "complex":
+            linear[GaussianRational(-a, beta)] = mult
+            linear[GaussianRational(-a, -beta)] = mult
+        else:
+            shapes.append((a, d))
+    for a, d in shapes:  # real mode, after every irrational factor was refused
+        if quadratic[(a, d)] > 1:
+            shape_text = f"s^2 + {d}" if a == 0 else f"(s + {a})^2 + {d}"
+            raise RepeatedQuadraticFactor(f"quadratic factor {shape_text} is repeated", quadratic=(a, d))
+    return FactoredCharPoly(
+        mode=mode,
+        linear=tuple(sorted(linear.items(), key=lambda item: scalar_key(item[0]))),
+        quadratic=tuple(shapes),
+    )
+
+
+def _verify_hints(p: Poly, hints) -> None:
+    """Check every hinted (root, multiplicity) exactly; hints are never trusted."""
     for root, mult in hints:
         if mult < 1:
             raise HintMismatch(f"hint multiplicity must be positive, got {mult}")
-        if isinstance(root, GaussianRational) and root.im != 0:
-            if mode == "real":
-                raise HintMismatch("real mode accepts rational root hints only")
-            conj = root.conjugate()
-            prior = found.get(root)
-            if prior is not None:
-                if prior != mult:
-                    raise HintMismatch(
-                        f"conflicting multiplicities for hinted root {root}"
-                    )
-                continue  # conjugate partner already processed
-            if work.eval(root):
-                raise HintMismatch(f"hinted root {root} does not annihilate the polynomial")
-            # deflate by the real quadratic (s-root)(s-conj) to stay rational
-            quad = Poly.linear(root) * Poly.linear(conj)
-            quad = Poly(tuple(as_fraction(c) for c in quad.coeffs))
-            work = _deflate_poly_by(work, quad, mult)
-            if not work.eval(root) or not work.eval(conj):
-                raise HintMismatch(f"hinted multiplicity {mult} for {root} is not exact")
-            found[root] = mult
-            found[conj] = mult
-        else:
-            root = as_fraction(root)
-            if work.eval(root):
-                raise HintMismatch(f"hinted root {root} does not annihilate the polynomial")
-            work = _deflate(work, root, mult)
-            if not work.eval(root):
-                raise HintMismatch(f"hinted multiplicity {mult} for {root} is not exact")
-            found[root] = mult
-    return work, sorted(found.items(), key=lambda item: scalar_key(item[0]))
-
-
-def _deflate_poly_by(p: Poly, factor: Poly, times: int) -> Poly:
-    for _ in range(times):
-        quot, rem = divmod(p, factor)
-        if not rem.is_zero:
-            raise HintMismatch("hinted factor does not divide the polynomial as claimed")
-        p = quot
-    return p
+        # the multiplicity is the number of derivatives vanishing at the root
+        q, actual = p, 0
+        while q and not q.eval(root):
+            q, actual = q.derivative(), actual + 1
+        if not actual:
+            raise HintMismatch(f"hinted root {root} does not annihilate the polynomial")
+        if actual != mult:
+            raise HintMismatch(f"hinted multiplicity {mult} for {root} is not exact")
 
 
 def factor_charpoly(p: Poly, mode: str, hints=None) -> FactoredCharPoly:
     """Factor a monic rational polynomial into the supported shapes.
 
-    Rational roots are found by the rational-root theorem with exact
-    deflation.  The residual is then handled per mode: complex mode resolves
-    degree-2 (and split degree-4) residuals into Gaussian-rational conjugate
-    pairs; real mode turns them into irreducible quadratics (s+a)^2 + d.
-    Hints are verified exactly, never trusted.
+    One exact factorization over Q (square-free decomposition, then p-adic
+    factoring) yields rational roots, irreducible quadratics (s+a)^2 + d and
+    nothing else; any irreducible factor of degree >= 3 raises
+    IrrationalSpectrum naming it.  The modes read that factorization:
+    complex splits each quadratic into a conjugate pair in Q(i), real keeps
+    quadratics with d > 0 (each simple), and auto returns the complex view
+    when it exists and the real view otherwise.  Hints are verified exactly
+    and are never needed to reach an answer.
     """
-    if mode not in ("complex", "real"):
+    if mode not in ("complex", "real", "auto"):
         raise ValueError(f"unknown factorization mode: {mode!r}")
     if p.is_zero or not p.is_monic():
         raise ValueError("characteristic polynomials are monic and nonzero")
@@ -456,92 +359,11 @@ def factor_charpoly(p: Poly, mode: str, hints=None) -> FactoredCharPoly:
         if not is_rational(c):
             raise ValueError("factor_charpoly requires rational coefficients")
     p = Poly(tuple(as_fraction(c) for c in p.coeffs))
-    degree = p.degree
-
-    residual, hinted = _verify_hints(p, mode, hints or [])
-    gaussian_hints = [(r, m) for r, m in hinted if isinstance(r, GaussianRational) and r.im != 0]
-    rational_hints = [(r, m) for r, m in hinted if not (isinstance(r, GaussianRational) and r.im != 0)]
-
-    rational_found = _rational_roots(residual)
-    for root, mult in rational_found:
-        residual = _deflate(residual, root, mult)
-
-    linear: dict = {}
-    for root, mult in itertools.chain(rational_hints, rational_found):
-        linear[root] = linear.get(root, 0) + mult
-    for root, mult in gaussian_hints:
-        linear[root] = linear.get(root, 0) + mult
-
-    quadratics: list[tuple[Fraction, Fraction]] = []
-
-    def reject(msg: str):
-        raise IrrationalSpectrum(
-            f"cannot factor residual {residual} over the supported field ({mode} mode): {msg}",
-            residual=residual,
-        )
-
-    if residual.degree > 0:
-        if residual.degree % 2 == 1:
-            reject("odd-degree residual has an irrational real root")
-        if residual.degree == 2:
-            candidates = [residual]
-        elif residual.degree == 4:
-            split = _split_quartic(residual)
-            if split is None:
-                reject("no rational quadratic split exists")
-            candidates = list(split)
-        else:
-            reject("residual degree exceeds the supported quadratic search")
-
-        if mode == "real":
-            shapes = []
-            for q in candidates:
-                shape = _quadratic_shape(q)
-                if shape is None:
-                    reject(f"quadratic factor {q} has real irrational roots")
-                shapes.append(shape)
-            if len(shapes) == 2 and shapes[0] == shapes[1]:
-                a0, d0 = shapes[0]
-                shape_text = f"s^2 + {d0}" if a0 == 0 else f"(s + {a0})^2 + {d0}"
-                raise RepeatedQuadraticFactor(
-                    f"quadratic factor {shape_text} is repeated",
-                    quadratic=shapes[0],
-                )
-            quadratics = sorted(shapes)
-        else:
-            # complex mode: each quadratic must resolve inside Q(i)
-            work = residual
-            for q in candidates:
-                roots = _gaussian_roots_of_quadratic(q)
-                if roots is None:
-                    reject(f"quadratic factor {q} has no Gaussian-rational roots")
-                for root in roots:
-                    if root in linear:
-                        continue
-                    mult = 0
-                    factor = Poly.linear(root)
-                    while True:
-                        quot, rem = divmod(work, factor)
-                        if not rem.is_zero:
-                            break
-                        work = quot
-                        mult += 1
-                    if mult == 0:
-                        reject(f"Gaussian root {root} does not divide the residual")
-                    linear[root] = linear.get(root, 0) + mult
-            if work.degree != 0:
-                reject("Gaussian roots do not exhaust the residual")
-
-    result = FactoredCharPoly(
-        mode=mode,
-        linear=tuple(sorted(linear.items(), key=lambda item: scalar_key(item[0]))),
-        quadratic=tuple(quadratics),
-    )
-    if result.degree != degree:
-        raise IrrationalSpectrum(
-            f"factorization covers degree {result.degree} of {degree}: residual {residual}",
-            residual=residual,
-        )
+    hints = hints or []
+    _verify_hints(p, hints)
+    result = _view(*_irreducible_factors(p), mode)
+    if result.mode == "real" and not all(is_rational(root) for root, _ in hints):
+        raise HintMismatch("real mode accepts rational root hints only")
     if result.expand() != p:
         raise AssertionError("internal error: factorization failed round-trip check")
     return result

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,46 @@ def random_jordan_matrix(rng: random.Random, n: int | None = None):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail (rather than hang) when the body runs longer than `seconds`."""
+
+    def fire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def block_diagonal(*blocks) -> Matrix:
+    n = sum(len(block) for block in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                rows[offset + i][offset + j] = Fraction(x)
+        offset += len(block)
+    return Matrix.from_rows(rows)
+
+
+def companion(*low_coeffs) -> list:
+    """Companion block of the monic polynomial with these ascending low coefficients."""
+    n = len(low_coeffs)
+    rows = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    for i, c in enumerate(low_coeffs):
+        rows[i][-1] = -c
+    return rows
+
+
+def disguised(a: Matrix, seed: int) -> Matrix:
+    """S A S^{-1} for a seeded unimodular S: same spectrum, dense entries."""
+    s = _random_unimodular(random.Random(seed), a.nrows)
+    return s @ a @ inverse(s)

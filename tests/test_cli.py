@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from respfd.cli import run
+from tests.conftest import deadline
 
 GOLDEN_CHAINS_FILE = "0 1 2\n-2 4 0\n-1 1 2\n"
 IVP_FILE = "-5 6 2\n-6 7 2\n6 -6 -1\n"
@@ -237,3 +238,38 @@ def test_console_script_help():
     )
     assert result.returncode == 0
     assert b"charpoly" in result.stdout and b"verify" in result.stdout
+
+
+def test_verify_float_overflow_is_named_fail(write):
+    # e^(1000 t) is no float at t = 1000: a FAIL with exit 1, never a traceback
+    code, out, err = run(["verify", write("1000 0 0\n0 -1 1\n0 0 -1\n"), "--t", "1000"])
+    assert code == 1
+    assert err == ""
+    assert "FAIL  oracle[t=1000]" in out and "float overflow at t=1000" in out
+    assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize("times", ["nan", "inf", "0.1,-inf"])
+def test_verify_non_finite_t_is_usage_error(write, times):
+    code, out, err = run(["verify", write(IVP_FILE), "--t", times])
+    assert code == 2
+    assert out == "" and err.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "rows, mode",
+    [
+        # eigenvalues +-i, 1+-2i, 2+-i
+        ("0 -1 0 0 0 0\n1 0 0 0 0 0\n0 0 1 -2 0 0\n0 0 2 1 0 0\n0 0 0 0 2 -1\n0 0 0 0 1 2\n", "complex"),
+        # companion matrix of (s^2 + 1)^3
+        ("0 0 0 0 0 -1\n1 0 0 0 0 0\n0 1 0 0 0 -3\n0 0 1 0 0 0\n0 0 0 1 0 -3\n0 0 0 0 1 0\n", "complex"),
+        # (s^2 + 2)(s^2 + 3)(s^2 + 5)
+        ("0 -2 0 0 0 0\n1 0 0 0 0 0\n0 0 0 -3 0 0\n0 0 1 0 0 0\n0 0 0 0 0 -5\n0 0 0 0 1 0\n", "real"),
+    ],
+    ids=["qi_three_pairs", "qi_cubed_companion", "real_three_quadratics"],
+)
+def test_verify_sextic_spectra_pass(write, rows, mode):
+    with deadline(20):
+        code, out, err = run(["verify", write(rows), "--mode", mode])
+    assert code == 0, out + err
+    assert "result: PASS" in out

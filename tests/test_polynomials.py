@@ -13,8 +13,10 @@ from respfd.errors import (
     RepeatedQuadraticFactor,
     SingularSeriesDivision,
 )
+from respfd.linalg import Matrix, faddeev_leverrier
 from respfd.polynomials import FactoredCharPoly, Poly, factor_charpoly, series_div
 from respfd.scalars import GaussianRational
+from tests.conftest import block_diagonal, companion, deadline, disguised
 
 
 def P(*ascending) -> Poly:
@@ -201,11 +203,12 @@ def test_factor_repeated_quadratic_complex_succeeds():
     assert dict(f.linear) == {GaussianRational(0, 1): 2, GaussianRational(0, -1): 2}
 
 
-def test_factor_sextic_residual_rejected():
-    # three distinct irreducible quadratics exceed the supported search
+def test_factor_sextic_three_quadratics_real():
+    # three distinct irreducible quadratics: no degree limit on the residual
     p = P(1, 0, 1) * P(4, 0, 1) * P(9, 0, 1)
-    with pytest.raises(IrrationalSpectrum):
-        factor_charpoly(p, "real")
+    f = factor_charpoly(p, "real")
+    assert f.linear == ()
+    assert f.quadratic == tuple((Fraction(0), Fraction(d)) for d in (1, 4, 9))
 
 
 def test_hints_verified_and_used():
@@ -243,3 +246,96 @@ def test_factored_charpoly_degree_invariant():
 def test_factor_requires_monic():
     with pytest.raises(ValueError):
         factor_charpoly(P(1, 2), "complex")
+
+
+def test_factor_auto_mode_and_views():
+    # (s+2)((s+2)^2 + 9): complex view exists, so auto returns it
+    p = P(26, 21, 6, 1)
+    f = factor_charpoly(p, "auto")
+    assert f == factor_charpoly(p, "complex")
+    assert f.view("real") == factor_charpoly(p, "real")
+    assert f.view("real").view("complex") == f
+    # s^2 + 2 has no Gaussian-rational roots: auto falls back to real
+    q = P(2, 0, 1) * P(-1, 1)
+    assert factor_charpoly(q, "auto") == factor_charpoly(q, "real")
+
+
+def test_factor_irrational_quadratic_repeated_is_irrational_first():
+    # an irrational factor outranks a repeated quadratic in real mode
+    p = P(-2, 0, 1) * P(1, 0, 1) ** 2
+    with pytest.raises(IrrationalSpectrum) as err:
+        factor_charpoly(p, "real")
+    assert err.value.residual == P(-2, 0, 1)
+
+
+def _charpoly(a: Matrix) -> Poly:
+    return faddeev_leverrier(a)[0]
+
+
+def test_factor_prime_pair_2x2():
+    a = Matrix.from_rows([[1000000007, 1], [0, 1000000009]])
+    with deadline(5):
+        f = factor_charpoly(_charpoly(a), "auto")
+    assert f.mode == "complex"
+    assert f.linear == ((Fraction(1000000007), 1), (Fraction(1000000009), 1))
+
+
+def test_factor_random_12x12_irreducible():
+    rng = random.Random(12)
+    a = Matrix.from_rows([[rng.randint(-20, 20) for _ in range(12)] for _ in range(12)])
+    p = _charpoly(a)
+    for mode in ("complex", "real", "auto"):
+        with deadline(5), pytest.raises(IrrationalSpectrum) as err:
+            factor_charpoly(p, mode)
+        # the charpoly itself is irreducible over Q, so it is the named factor
+        assert err.value.residual == p
+        assert str(p) in str(err.value)
+
+
+def test_factor_three_gaussian_pairs_complex():
+    # eigenvalues +-i, 1+-2i, 2+-i: a residual of degree 6 over Q(i)
+    a = disguised(block_diagonal([[0, -1], [1, 0]], [[1, -2], [2, 1]], [[2, -1], [1, 2]]), 6)
+    with deadline(5):
+        f = factor_charpoly(_charpoly(a), "complex")
+    assert dict(f.linear) == {
+        GaussianRational(re, sign * im): 1 for re, im in ((0, 1), (1, 2), (2, 1)) for sign in (1, -1)
+    }
+
+
+def test_factor_cubed_gaussian_pair_companion():
+    # (s^2 + 1)^3 = s^6 + 3s^4 + 3s^2 + 1
+    p = _charpoly(Matrix.from_rows(companion(1, 0, 3, 0, 3, 0)))
+    assert p == P(1, 0, 1) ** 3
+    with deadline(5):
+        f = factor_charpoly(p, "complex")
+        assert dict(f.linear) == {GaussianRational(0, 1): 3, GaussianRational(0, -1): 3}
+        with pytest.raises(RepeatedQuadraticFactor):
+            factor_charpoly(p, "real")
+
+
+def test_factor_three_real_quadratics_from_matrix():
+    a = disguised(block_diagonal(companion(2, 0), companion(3, 0), companion(5, 0)), 7)
+    with deadline(5):
+        f = factor_charpoly(_charpoly(a), "real")
+        assert f.linear == ()
+        assert f.quadratic == tuple((Fraction(0), Fraction(d)) for d in (2, 3, 5))
+        with pytest.raises(IrrationalSpectrum):
+            factor_charpoly(_charpoly(a), "complex")
+
+
+def test_factor_names_the_irreducible_cubic():
+    # (s^3 - 2)(s^2 + 1): the error names s^3 - 2, not the quintic
+    a = disguised(block_diagonal(companion(-2, 0, 0), companion(1, 0)), 8)
+    for mode in ("complex", "real", "auto"):
+        with deadline(5), pytest.raises(IrrationalSpectrum) as err:
+            factor_charpoly(_charpoly(a), mode)
+        assert err.value.residual == P(-2, 0, 0, 1)
+        assert "s^3 - 2" in str(err.value)
+
+
+def test_factor_two_irreducible_cubics_names_one():
+    # (s^3 - 2)(s^3 - 3) has no factor of degree <= 2; each cubic is irreducible
+    p = P(-2, 0, 0, 1) * P(-3, 0, 0, 1)
+    with pytest.raises(IrrationalSpectrum) as err:
+        factor_charpoly(p, "auto")
+    assert err.value.residual in (P(-2, 0, 0, 1), P(-3, 0, 0, 1))
