@@ -33,6 +33,7 @@ from .errors import (
     NotAGeneralizedEigenvector,
     RepeatedQuadraticFactor,
     RespfdError,
+    SelfCheckFailed,
     SingularSeriesDivision,
 )
 from .exponential import (
@@ -78,7 +79,7 @@ from .pfd import (
     verify_pfd,
     verify_real_pfd,
 )
-from .polynomials import FactoredCharPoly, Poly, factor_charpoly, series_div
+from .polynomials import FactoredCharPoly, Poly, factor_charpoly
 from .scalars import (
     GaussianRational,
     Rational,

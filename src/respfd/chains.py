@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompleteBasis, InconsistentSystem, NotAGeneralizedEigenvector
+from .errors import IncompleteBasis, InconsistentSystem, NotAGeneralizedEigenvector, SelfCheckFailed
 from .linalg import Matrix, mat_vec, nullspace, rank, solve, vec_is_zero
 from .pfd import ResolventPFD
 from .scalars import Scalar
@@ -126,9 +126,10 @@ def membership_check(pfd: ResolventPFD, eigenvalue_index: int, v) -> tuple[bool,
     j0 = 1 + max_m
     for j in range(1, min(j0, term.multiplicity) + 1):
         if not _in_column_space(term.coefficient(j), v):
-            raise RuntimeError(
+            raise SelfCheckFailed(
+                "chains",
                 f"column-space membership violated for B_{j} at eigenvalue "
-                f"{term.eigenvalue}; decomposition is inconsistent"
+                f"{term.eigenvalue}; decomposition is inconsistent",
             )
     return True, j0
 

@@ -2,8 +2,9 @@
 
 Subcommands: charpoly, pfd, chains, exp, solve, general, verify.  Exit codes:
 0 success, 1 domain error (unfactorable spectrum, repeated quadratic, ...),
-2 usage or parse error.  `verify` exits 0 only when every structural identity
-and the floating-point oracle comparison pass.
+2 usage or parse error, 3 failed internal self-check (a bug; stderr names the
+stage).  `verify` exits 0 only when every structural identity and the
+floating-point oracle comparison pass.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .errors import (
     NonSquareMatrix,
     RepeatedQuadraticFactor,
     RespfdError,
+    SelfCheckFailed,
 )
 from .exponential import (
+    _float_mat_mul,
     decompose,
     exp_derivative,
     exp_eval,
@@ -142,19 +145,26 @@ def _load_hints(path: str) -> list:
                 continue
             parts = stripped.split()
             if len(parts) != 2:
-                raise ValueError(f"roots file line {lineno}: expected 'root multiplicity'")
-            root = parse_scalar(parts[0])
-            mult = int(parts[1])
-            hints.append((root, mult))
+                raise UsageError(f"roots file line {lineno}: expected 'root multiplicity'")
+            try:
+                hints.append((parse_scalar(parts[0]), int(parts[1])))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"roots file line {lineno}: {exc}") from exc
     return hints
 
 
 def _parse_y0(text: str) -> tuple:
-    return tuple(parse_rational(tok) for tok in text.split(","))
+    try:
+        return tuple(parse_rational(tok) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--y0: {exc}") from exc
 
 
 def _parse_times(text: str) -> list[float]:
-    times = [float(tok) for tok in text.split(",")]
+    try:
+        times = [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--t: {exc}") from exc
     if not all(math.isfinite(t) for t in times):
         raise UsageError(f"--t needs finite sample times, got {text!r}")
     return times
@@ -275,11 +285,13 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
                 "relative error {:.3e} vs scaling-and-squaring",
             )
         )
-    for t1, t2 in ((0.1, 0.2), (0.5, 0.5)):
+    # the semigroup and mode-agreement times scale with the largest requested |t|
+    scale = max((abs(t) for t in times), default=0.0) or 1.0
+    for t1, t2 in ((0.1 * scale, 0.2 * scale), (0.5 * scale, 0.5 * scale)):
         checks.append(
             _float_check(
                 f"semigroup[{t1:g}+{t2:g}]", t1 + t2, SEMIGROUP_TOLERANCE,
-                lambda: (_float_product(exp_eval(cf, t1), exp_eval(cf, t2)), exp_eval(cf, t1 + t2)),
+                lambda: (_float_mat_mul(exp_eval(cf, t1), exp_eval(cf, t2)), exp_eval(cf, t1 + t2)),
                 "relative error {:.3e}",
             )
         )
@@ -290,10 +302,11 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
             real_factored = None
         if real_factored is not None:
             real_cf = exp_from_pfd(pfd_real(real_factored, adjugate, a))
+            t = 0.5 * scale
             checks.append(
                 _float_check(
-                    "mode_agreement", 0.5, MODE_AGREEMENT_TOLERANCE,
-                    lambda: (exp_eval(real_cf, 0.5), exp_eval(cf, 0.5)),
+                    "mode_agreement", t, MODE_AGREEMENT_TOLERANCE,
+                    lambda: (exp_eval(real_cf, t), exp_eval(cf, t)),
                     "real and complex closed forms agree numerically ({:.3e})",
                 )
             )
@@ -370,11 +383,6 @@ def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     return checks
 
 
-def _float_product(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
-
-
 def _cmd_verify(a: Matrix, args, hints) -> tuple[str, int]:
     checks = verification_report(a, args.mode, hints, _parse_times(args.t))
     return rio.render_verify(checks, args.fmt), 0 if all_passed(checks) else 1
@@ -411,13 +419,15 @@ def run(argv) -> tuple[int, str, str]:
         return 0, output, ""
     except (MatrixParseError, NonSquareMatrix, EmptyMatrix) as exc:
         return 2, "", f"parse: {exc}\n"
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         return 2, "", f"usage: {exc}\n"
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return 2, "", f"input: {exc}\n"
     except RespfdError as exc:
         stage = _STAGE_BY_ERROR.get(type(exc), "pipeline")
         return 1, "", f"{stage}: {type(exc).__name__}: {exc}\n"
+    except SelfCheckFailed as exc:
+        return 3, "", f"{exc.stage}: internal self-check failed: {exc}\n"
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Domain errors (unfactorable spectra, inconsistent systems, ...) are distinct
-from usage errors (bad matrix files, bad flags) so the CLI can map them to
-different exit codes.
+from usage errors (bad matrix files, bad flags) and from failed internal
+self-checks, so the CLI can map them to different exit codes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ class NotAGeneralizedEigenvector(RespfdError):
 
 class IncompleteBasis(RespfdError):
     """Column chains failed to span the generalized eigenspace."""
+
+
+class SelfCheckFailed(AssertionError):
+    """An exact internal consistency check failed: a bug, never bad input.
+
+    Carries the pipeline stage that ran the check so the CLI can name it.
+    """
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 class MatrixParseError(ValueError):

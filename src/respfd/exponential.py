@@ -235,7 +235,6 @@ def exp_eval(cf: ClosedFormExp, t: float) -> list[list[float]]:
 
 
 def _float_mat_mul(x, y):
-    n = len(x)
     cols = list(zip(*y))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
 

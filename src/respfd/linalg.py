@@ -9,19 +9,23 @@ common integer denominator first, so intermediate entries are minors of an
 integer (or Gaussian-integer) matrix and stay small.  One echelon pass backs
 the determinant, rank, nullspace, and linear solves.
 
-faddeev_leverrier produces the characteristic polynomial and the full
-adjugate polynomial adj(sI - A) in a single O(n^4) sweep, with the built-in
-self-check A*B_n + c_0*I = 0.
+The integer kernel: to_integral splits a matrix into integer numerator
+planes (real, plus imaginary when some entry is non-real) over one
+positive denominator, the layout of FLINT's fmpq_mat; from_integral maps
+back.  faddeev_leverrier runs entirely on those Python-int planes, producing
+the characteristic polynomial and the full adjugate polynomial adj(sI - A)
+in a single O(n^4) sweep with the built-in self-check A*B_n + c_0*I = 0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge
+from .errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge, SelfCheckFailed
 from .polynomials import Poly
 from .scalars import GaussianRational, Scalar, as_fraction, is_rational
 
@@ -30,12 +34,7 @@ SIZE_LIMIT = 12
 
 
 def _coerce_entry(x) -> Scalar:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, GaussianRational)):
-        return x
-    # quadratic-surd entries appear transiently (sample-point evaluation)
-    return x
+    return Fraction(x) if isinstance(x, int) else x
 
 
 @dataclass(frozen=True)
@@ -436,17 +435,6 @@ class PolyMatrix:
                 out[i + j] = out[i + j] + (a @ b)
         return PolyMatrix(self.size, tuple(out))
 
-    def scale_poly(self, p: Poly) -> "PolyMatrix":
-        """Multiply by a scalar polynomial."""
-        if p.is_zero or not self.coeff_matrices:
-            return PolyMatrix(self.size, ())
-        out = [Matrix.zeros(self.size, self.size)] * (self.degree + p.degree + 1)
-        for i, a in enumerate(self.coeff_matrices):
-            for j, c in enumerate(p.coeffs):
-                if c:
-                    out[i + j] = out[i + j] + a * c
-        return PolyMatrix(self.size, tuple(out))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeff_matrices
@@ -458,12 +446,71 @@ def s_identity_minus(a: Matrix) -> PolyMatrix:
     return PolyMatrix(n, (-a, Matrix.identity(n)))
 
 
+def to_integral(m: Matrix) -> tuple[list, list | None, int]:
+    """Integer planes of m over one positive common denominator.
+
+    Returns (re, im, d) with m = (re + i*im) / d entrywise; re and im are flat
+    row-major lists of ints, and im is None when no entry has an imaginary part.
+    """
+    entries = [x for row in m.rows for x in row]
+    planes = [[x.re if isinstance(x, GaussianRational) else x for x in entries]]
+    if any(isinstance(x, GaussianRational) and x.im for x in entries):
+        planes.append([x.im if isinstance(x, GaussianRational) else 0 for x in entries])
+    d = math.lcm(*(x.denominator for plane in planes for x in plane))
+    planes = [[x.numerator * (d // x.denominator) for x in plane] for plane in planes]
+    return planes[0], planes[1] if len(planes) > 1 else None, d
+
+
+def from_integral(re: list, im: list | None, d: int, ncols: int) -> Matrix:
+    """The exact matrix (re + i*im) / d from flat row-major integer planes.
+
+    Entries are Fractions, or GaussianRationals when some imaginary part is nonzero.
+    """
+    if im is None or not any(im):
+        entries = [Fraction(x, d) for x in re]
+    else:
+        entries = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+    return Matrix(tuple(tuple(entries[k : k + ncols]) for k in range(0, len(entries), ncols)))
+
+
+def _int_matmul(x: list, y: list, n: int) -> list:
+    rows = [x[k : k + n] for k in range(0, n * n, n)]
+    cols = [y[j::n] for j in range(n)]
+    return [sum(map(operator.mul, row, col)) for row in rows for col in cols]
+
+
+def _plane_matmul(x: tuple, y: tuple, n: int) -> tuple:
+    """Product of n x n Gaussian-integer matrices given as (re, im) flat planes, im None when zero."""
+    (xr, xi), (yr, yi) = x, y
+    re = _int_matmul(xr, yr, n)
+    if xi is not None and yi is not None:
+        re = [u - v for u, v in zip(re, _int_matmul(xi, yi, n))]
+    im = None
+    for u, v in ((xr, yi), (xi, yr)):
+        if u is not None and v is not None:
+            p = _int_matmul(u, v, n)
+            im = p if im is None else [s + t for s, t in zip(im, p)]
+    return re, im
+
+
+def _exact_quotient(x: int, k: int) -> int:
+    q, r = divmod(x, k)
+    if r:
+        raise SelfCheckFailed("charpoly", f"faddeev_leverrier trace {x} is not divisible by {k}")
+    return q
+
+
 def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     """Characteristic polynomial det(sI - A) and adjugate adj(sI - A) together.
 
     Iterates B_1 = I, c_{n-k} = -tr(A B_k)/k, B_{k+1} = A B_k + c_{n-k} I.
     Then adj(sI - A) = sum_k B_k s^{n-k}, and A B_n + c_0 I = 0 serves as a
     built-in consistency check.
+
+    The sweep runs on N = dA, d the common denominator of A, in Python ints
+    (one more plane for Gaussian entries): on an integer matrix every trace
+    division by k is exact.  Unscaling gives c_{n-k}(A) = c_{n-k}(N) / d^k and
+    B_k(A) = B_k(N) / d^{k-1}.
     """
     if not a.is_square:
         raise DimensionMismatch("faddeev_leverrier requires a square matrix")
@@ -474,28 +521,28 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
         )
     if n == 0:
         return Poly.constant(Fraction(1)), PolyMatrix(0, ())
+    re, im, d = to_integral(a)
+    scaled = (re, im)
+    diagonal = range(0, n * n, n + 1)
+    b = ([int(k in diagonal) for k in range(n * n)], None)
+    adj_coeffs = [from_integral(*b, 1, n)]  # B_k for s^{n-k}, collected high power first
     coeffs: list = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    b = Matrix.identity(n)
-    adj_coeffs = [b]  # B_k for s^{n-k}, collected high power first
     for k in range(1, n + 1):
-        ab = a @ b
-        c = -_trace(ab) / k
-        coeffs[n - k] = c
+        b = _plane_matmul(scaled, b, n)  # N B_k, then + c I: B_{k+1}
+        c_re, c_im = (0 if p is None else _exact_quotient(-sum(p[t] for t in diagonal), k) for p in b)
+        for p, c in zip(b, (c_re, c_im)):
+            if p is not None:
+                for t in diagonal:
+                    p[t] += c
+        scale = d**k
+        coeffs[n - k] = (
+            GaussianRational(Fraction(c_re, scale), Fraction(c_im, scale)) if c_im else Fraction(c_re, scale)
+        )
         if k < n:
-            b = ab + Matrix.identity(n) * c
-            adj_coeffs.append(b)
-        else:
-            final = ab + Matrix.identity(n) * c
-            if not final.is_zero:
-                raise AssertionError("faddeev_leverrier self-check failed")
+            adj_coeffs.append(from_integral(*b, scale, n))
+        elif any(b[0]) or (b[1] is not None and any(b[1])):
+            raise SelfCheckFailed("charpoly", "faddeev_leverrier self-check A B_n + c_0 I = 0 failed")
     charpoly = Poly(tuple(coeffs))
     adjugate = PolyMatrix(n, tuple(reversed(adj_coeffs)))
     return charpoly, adjugate
-
-
-def _trace(m: Matrix) -> Scalar:
-    acc = Fraction(0)
-    for i in range(m.nrows):
-        acc = acc + m[i, i]
-    return acc

@@ -5,13 +5,20 @@ B_ij with
 
     (sI - A)^{-1} = sum_i sum_{j=1..r_i} B_ij / (s - lambda_i)^j
 
-and are cross-checked against each other in the test suite:
+and are cross-checked against each other (the test suite, `respfd verify`):
 
   pfd_residue       -- local Taylor expansion of adj(sI-A)/q_i(s) around each
-                       eigenvalue (Taylor shift + truncated series division),
+                       eigenvalue: only the r_i Taylor coefficient matrices
+                       it uses, formed as integer linear combinations of the
+                       adjugate's numerator planes, then one truncated series
+                       division on whole matrices,
   pfd_undetermined  -- undetermined matrix coefficients: evaluate the
                        polynomial identity at n rational sample points and
                        solve the resulting exact linear system.
+
+For a rational A the residue algorithm computes each Q(i) eigenvalue with
+positive imaginary part and takes its conjugate's term as the entrywise
+conjugate; pfd_undetermined computes both, so the cross-check stays real.
 
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
@@ -24,13 +31,14 @@ and reports them individually.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EvalAtPole
-from .linalg import Matrix, PolyMatrix, rank, solve_many
-from .polynomials import FactoredCharPoly, Poly, series_div
-from .scalars import GaussianRational, Scalar, scalar_key
+from .errors import EvalAtPole, SelfCheckFailed, SingularSeriesDivision
+from .linalg import Matrix, PolyMatrix, from_integral, rank, solve_many, to_integral
+from .polynomials import FactoredCharPoly, Poly
+from .scalars import GaussianRational, Scalar, as_fraction, conjugate_scalar, scalar_im, scalar_key, scalar_re
 
 
 @dataclass(frozen=True)
@@ -97,35 +105,121 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     For eigenvalue lambda of multiplicity r, the resolvent near lambda is
     g(s) / (s-lambda)^r with g = adj(sI-A) / (charpoly/(s-lambda)^r); the
     Taylor coefficients a_0..a_{r-1} of g around lambda give B_j = a_{r-j}.
+    For a rational A, the term of a Q(i) eigenvalue with negative imaginary
+    part is the entrywise conjugate of its partner's term.
     """
     if factored.mode != "complex":
         raise ValueError("pfd_residue requires a complex-mode factorization")
     n = adjugate.size
-    charpoly = factored.expand()
+    charpoly = [as_fraction(c) for c in factored.expand().coeffs]
+    h_den = math.lcm(*(c.denominator for c in charpoly))
+    charpoly = [((c * h_den).numerator, 0) for c in charpoly]
+    numerators = [to_integral(c) for c in adjugate.coeff_matrices]
+    mirror = matrix.is_rational_matrix()
+    multiplicity = {scalar_key(root): mult for root, mult in factored.linear}
     terms = []
     for eigenvalue, mult in factored.linear:
-        denom = charpoly
-        for _ in range(mult):
-            denom, rem = divmod(denom, Poly.linear(eigenvalue))
-            if not rem.is_zero:
-                raise AssertionError("eigenvalue does not divide the characteristic polynomial")
-        denom_shifted = denom.shift(eigenvalue)
-        coeff_entries = [
-            [[None] * n for _ in range(n)] for _ in range(mult)
-        ]  # [m][i][j] = m-th Taylor coefficient of entry (i, j)
-        for i in range(n):
-            for j in range(n):
-                num_shifted = adjugate.entry_poly(i, j).shift(eigenvalue)
-                series = series_div(num_shifted, denom_shifted, mult)
-                for m in range(mult):
-                    coeff_entries[m][i][j] = series.coeff(m)
-        coefficients = tuple(
-            _matrix_from_entries(n, coeff_entries[mult - j]).demoted()
-            for j in range(1, mult + 1)
-        )
+        partner = conjugate_scalar(eigenvalue)
+        paired = mirror and scalar_im(eigenvalue) != 0 and multiplicity.get(scalar_key(partner)) == mult
+        if paired and scalar_im(eigenvalue) < 0:
+            continue  # appended with its partner below
+        series = _residue_series(charpoly, h_den, numerators, eigenvalue, mult)
+        coefficients = tuple(from_integral(*series[mult - j], n) for j in range(1, mult + 1))
         terms.append(EigenvalueTerm(_demote_scalar(eigenvalue), mult, coefficients))
+        if paired:
+            terms.append(EigenvalueTerm(partner, mult, tuple(b.map(conjugate_scalar) for b in coefficients)))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, tuple(terms))
+
+
+def _residue_series(charpoly: list, h_den: int, numerators: list, eigenvalue, mult: int) -> list:
+    """Taylor coefficients a_0..a_{r-1} of adj(sI-A)/q(s) at lambda, q = charpoly/(s-lambda)^r.
+
+    Everything is Gaussian-integer arithmetic: with lambda = P/e, the weights
+    w_jm = C(m,j) P^(m-j) e^(n-m) give [s^j] charpoly(s+lambda) = sum_m w_jm h_m
+    / (h_den e^(n-j)), which must vanish for j < r; its coefficients r..2r-1 are
+    the Taylor coefficients e_0..e_{r-1} of q.  With C_m = N_m / d_m (integer
+    planes from to_integral), only the r adjugate Taylor matrices
+    T_k = sum_m w_km N_m / (d_m e^(n-k)) are formed, and the series division
+    a_k = (T_k - sum_t e_t a_{k-t}) / e_0 runs on whole matrices.
+    Returns each a_k as (re, im, den) integer planes.
+    """
+    n = len(charpoly) - 1
+    re, im = scalar_re(eigenvalue), scalar_im(eigenvalue)
+    e = math.lcm(re.denominator, im.denominator)
+    point = ((re * e).numerator, (im * e).numerator)
+    powers = [(1, 0)]
+    for _ in range(n):
+        powers.append(_gmul(powers[-1], point))
+    weights = [
+        [_gscale(powers[m - j], math.comb(m, j) * e ** (n - m)) for m in range(j, n + 1)]
+        for j in range(2 * mult)
+    ]
+    taylor = [_gsum(_gmul(w, h) for w, h in zip(row, charpoly[j:])) for j, row in enumerate(weights)]
+    if any(x or y for x, y in taylor[:mult]):
+        raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
+    # e_k = taylor[k + r] / (h_den e^(n-k-r)), so with E = taylor[r]: 1/e_0 = h_den e^(n-r) conj(E) / |E|^2
+    lead = taylor[mult]
+    norm = lead[0] ** 2 + lead[1] ** 2
+    if not norm:
+        raise SingularSeriesDivision(f"eigenvalue {eigenvalue} has multiplicity above {mult}")
+    inverse = _gscale((lead[0], -lead[1]), h_den * e ** (n - mult))
+    series = []
+    for k in range(mult):
+        combination = [
+            (_gmul(w, inverse), d * e ** (n - k) * norm, (xr, xi))
+            for w, (xr, xi, d) in zip(weights[k], numerators[k:])
+        ]
+        for t in range(1, k + 1):
+            if t + mult <= n:  # taylor[t + mult] vanishes beyond the degree
+                prev_re, prev_im, prev_den = series[k - t]
+                coefficient = _gmul(_gscale(taylor[t + mult], -1), inverse)
+                combination.append((coefficient, h_den * e ** (n - t - mult) * norm * prev_den, (prev_re, prev_im)))
+        series.append(_combine(combination))
+    return series
+
+
+def _gmul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gscale(x: tuple, k: int) -> tuple:
+    return x[0] * k, x[1] * k
+
+
+def _gsum(values) -> tuple:
+    re = im = 0
+    for x, y in values:
+        re, im = re + x, im + y
+    return re, im
+
+
+def _combine(terms: list) -> tuple:
+    """sum of g X / den over (g, den, X): g a Gaussian integer (re, im), X flat (re, im) planes.
+
+    Returns the sum as (re, im, den) integer planes over one positive
+    denominator with the common content removed; im is None when zero.
+    """
+    den = math.lcm(*(d for _, d, _ in terms))
+    size = len(terms[0][2][0])
+    out_re, out_im = [0] * size, [0] * size
+    for (gr, gi), d, (xr, xi) in terms:
+        gr, gi = gr * (den // d), gi * (den // d)
+        if gr:
+            out_re = [u + gr * v for u, v in zip(out_re, xr)]
+        if gi:
+            out_im = [u + gi * v for u, v in zip(out_im, xr)]
+        if xi is not None:
+            if gi:
+                out_re = [u - gi * v for u, v in zip(out_re, xi)]
+            if gr:
+                out_im = [u + gr * v for u, v in zip(out_im, xi)]
+    content = math.gcd(den, *out_re, *out_im)
+    if content > 1:
+        den //= content
+        out_re = [x // content for x in out_re]
+        out_im = [x // content for x in out_im]
+    return out_re, out_im if any(out_im) else None, den
 
 
 def _demote_scalar(x):
@@ -167,7 +261,7 @@ def pfd_undetermined(
         for j in range(1, mult + 1):
             partial, rem = divmod(partial, Poly.linear(eigenvalue))
             if not rem.is_zero:
-                raise AssertionError("eigenvalue does not divide the characteristic polynomial")
+                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
             unknowns.append((idx, j))
             basis_polys.append(partial)
     points = sample_points(len(unknowns), factored, n)
@@ -212,14 +306,14 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
         for j in range(1, mult + 1):
             partial, rem = divmod(partial, Poly.linear(eigenvalue))
             if not rem.is_zero:
-                raise AssertionError("eigenvalue does not divide the characteristic polynomial")
+                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
             layout.append(("linear", idx, j))
             basis_polys.append(partial)
     for idx, (a, d) in enumerate(factored.quadratic):
         quad = Poly((a * a + d, 2 * a, Fraction(1)))
         cofactor, rem = divmod(charpoly, quad)
         if not rem.is_zero:
-            raise AssertionError("quadratic factor does not divide the characteristic polynomial")
+            raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
         shifted = Poly((a, Fraction(1)))  # s + a
         layout.append(("quad", idx, "P"))
         basis_polys.append(cofactor * shifted)

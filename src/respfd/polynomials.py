@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SingularSeriesDivision
+from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SelfCheckFailed
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -170,51 +170,10 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift(self, c: Scalar) -> "Poly":
-        """Taylor shift: returns q with q(s) = p(s + c), exactly.
-
-        Repeated synthetic division by (s - (-c)) accumulates the Taylor
-        coefficients of p around -c, which are exactly the coefficients of
-        p(s + c).
-        """
-        if not c or self.is_zero:
-            return self
-        work = list(self.coeffs)
-        n = len(work)
-        out = []
-        for k in range(n):
-            # one synthetic-division pass by (x - c), high to low
-            for j in range(n - 2, k - 1, -1):
-                work[j] = work[j] + work[j + 1] * c
-            out.append(work[k])
-        return Poly(out)
-
     def __str__(self) -> str:
         from .io import format_poly
 
         return format_poly(self)
-
-
-def series_div(num: Poly, den: Poly, order: int) -> Poly:
-    """Truncated power-series quotient num/den with `order` coefficients.
-
-    Requires den(0) != 0.  The result q satisfies: the lowest `order`
-    coefficients of num - den*q vanish.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if den.is_zero or not den.coeff(0):
-        raise SingularSeriesDivision("series division needs den(0) != 0")
-    inv0 = Fraction(1) / den.coeff(0)
-    out = []
-    for k in range(order):
-        acc = num.coeff(k)
-        for t in range(1, k + 1):
-            dc = den.coeff(t)
-            if dc:
-                acc = acc - dc * out[k - t]
-        out.append(acc * inv0)
-    return Poly(out)
 
 
 @dataclass(frozen=True)
@@ -365,5 +324,5 @@ def factor_charpoly(p: Poly, mode: str, hints=None) -> FactoredCharPoly:
     if result.mode == "real" and not all(is_rational(root) for root, _ in hints):
         raise HintMismatch("real mode accepts rational root hints only")
     if result.expand() != p:
-        raise AssertionError("internal error: factorization failed round-trip check")
+        raise SelfCheckFailed("factor", "factorization failed round-trip check")
     return result

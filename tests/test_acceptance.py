@@ -20,6 +20,7 @@ from respfd.chains import extract_column_chains, geometric_multiplicity, select_
 from respfd.cli import run
 from respfd.errors import IncompleteBasis
 from respfd.exponential import (
+    _float_mat_mul,
     cos_basis,
     exp_basis,
     exp_derivative,
@@ -320,7 +321,7 @@ def test_criterion_7_oracle_agreement(random_suite, report):
                 worst_oracle = max(worst_oracle, err)
                 assert err <= ORACLE_TOLERANCE, f"oracle error {err:.3e} at t={t}"
             for t1, t2 in ((0.1, 0.2), (0.5, 0.5)):
-                prod = _float_product(exp_eval(cf, t1), exp_eval(cf, t2))
+                prod = _float_mat_mul(exp_eval(cf, t1), exp_eval(cf, t2))
                 err = relative_error(prod, exp_eval(cf, t1 + t2))
                 worst_semigroup = max(worst_semigroup, err)
                 assert err <= SEMIGROUP_TOLERANCE, f"semigroup error {err:.3e}"
@@ -330,11 +331,6 @@ def test_criterion_7_oracle_agreement(random_suite, report):
         )
 
     report(7, "oracle-agreement", body)
-
-
-def _float_product(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
 
 
 def test_criterion_8_error_paths(tmp_path, report):

@@ -273,3 +273,57 @@ def test_verify_sextic_spectra_pass(write, rows, mode):
         code, out, err = run(["verify", write(rows), "--mode", mode])
     assert code == 0, out + err
     assert "result: PASS" in out
+
+
+def test_verify_small_t_scales_semigroup_and_mode_checks(write):
+    # e^(1000 t) overflows at t = 1; with --t 0.001 every check stays at t <= 0.001
+    rows = "1000 0 0\n0 -1 1\n0 0 -1\n"
+    code, out, err = run(["verify", write(rows), "--t", "0.001"])
+    assert code == 0, out + err
+    assert "FAIL" not in out and "result: PASS" in out
+    assert "semigroup[0.0005+0.0005]" in out and "mode_agreement" in out
+
+
+@pytest.mark.parametrize("line", ["1 2 3", "x 1", "2 one", "1/0 1"])
+def test_roots_file_errors_are_usage_errors(write, tmp_path, line):
+    hints = tmp_path / "roots.txt"
+    hints.write_text(f"# hints\n{line}\n")
+    code, out, err = run(["charpoly", write(GOLDEN_CHAINS_FILE), "--roots", str(hints)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: roots file line 2")
+
+
+def test_bad_y0_scalar_names_the_option(write):
+    code, _, err = run(["solve", write(IVP_FILE), "--y0", "1,1/0,3"])
+    assert code == 2
+    assert err.startswith("usage: --y0")
+
+
+def _corrupt_trace_division(monkeypatch):
+    import respfd.linalg
+
+    monkeypatch.setattr(respfd.linalg, "_exact_quotient", lambda x, k: x // k + 1)
+
+
+def _corrupt_factorization(monkeypatch):
+    import respfd.polynomials
+
+    factors = respfd.polynomials._irreducible_factors
+
+    def doubled(p):
+        rational, quadratic = factors(p)
+        return {root: 2 * mult for root, mult in rational.items()}, quadratic
+
+    monkeypatch.setattr(respfd.polynomials, "_irreducible_factors", doubled)
+
+
+@pytest.mark.parametrize(
+    "corrupt, stage", [(_corrupt_trace_division, "charpoly"), (_corrupt_factorization, "factor")]
+)
+@pytest.mark.parametrize("command", ["pfd", "verify"])
+def test_failed_self_check_exits_3_naming_stage(write, monkeypatch, corrupt, stage, command):
+    path = write(GOLDEN_CHAINS_FILE)
+    corrupt(monkeypatch)
+    code, out, err = run([command, path])
+    assert code == 3 and out == ""
+    assert err.startswith(f"{stage}: internal self-check failed:")
