@@ -12,7 +12,8 @@ the determinant, rank, nullspace, and linear solves.
 The integer kernel: to_integral splits a matrix into integer numerator
 planes (real, plus imaginary when some entry is non-real) over one
 positive denominator, the layout of FLINT's fmpq_mat; from_integral maps
-back.  faddeev_leverrier runs entirely on those Python-int planes, producing
+back, and combine_integral forms Gaussian-integer linear combinations of
+such planes.  faddeev_leverrier runs entirely on those Python-int planes, producing
 the characteristic polynomial and the full adjugate polynomial adj(sI - A)
 in a single O(n^4) sweep with the built-in self-check A*B_n + c_0*I = 0.
 """
@@ -471,6 +472,35 @@ def from_integral(re: list, im: list | None, d: int, ncols: int) -> Matrix:
     else:
         entries = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
     return Matrix(tuple(tuple(entries[k : k + ncols]) for k in range(0, len(entries), ncols)))
+
+
+def combine_integral(terms: list) -> tuple[list, list | None, int]:
+    """sum of g X / k over (g, k, X): g a Gaussian integer (re, im), k a positive int, X planes from to_integral.
+
+    Returns the sum as integer planes over one positive denominator with the
+    common content removed, in the layout of to_integral.
+    """
+    den = math.lcm(*(k * x[2] for _, k, x in terms))
+    size = len(terms[0][2][0])
+    out_re, out_im = [0] * size, [0] * size
+    for (gr, gi), k, (xr, xi, d) in terms:
+        scale = den // (k * d)
+        gr, gi = gr * scale, gi * scale
+        if gr:
+            out_re = [u + gr * v for u, v in zip(out_re, xr)]
+        if gi:
+            out_im = [u + gi * v for u, v in zip(out_im, xr)]
+        if xi is not None:
+            if gi:
+                out_re = [u - gi * v for u, v in zip(out_re, xi)]
+            if gr:
+                out_im = [u + gr * v for u, v in zip(out_im, xi)]
+    content = math.gcd(den, *out_re, *out_im)
+    if content > 1:
+        den //= content
+        out_re = [x // content for x in out_re]
+        out_im = [x // content for x in out_im]
+    return out_re, out_im if any(out_im) else None, den
 
 
 def _int_matmul(x: list, y: list, n: int) -> list:

@@ -16,10 +16,6 @@ and are cross-checked against each other (the test suite, `respfd verify`):
                        polynomial identity at n rational sample points and
                        solve the resulting exact linear system.
 
-For a rational A the residue algorithm computes each Q(i) eigenvalue with
-positive imaginary part and takes its conjugate's term as the entrywise
-conjugate; pfd_undetermined computes both, so the cross-check stays real.
-
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
 the sqrt(d) scale so that P and Q are rational matrices.
@@ -36,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalAtPole, SelfCheckFailed, SingularSeriesDivision
-from .linalg import Matrix, PolyMatrix, from_integral, rank, solve_many, to_integral
+from .linalg import Matrix, PolyMatrix, combine_integral, from_integral, rank, solve_many, to_integral
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import GaussianRational, Scalar, as_fraction, conjugate_scalar, scalar_im, scalar_key, scalar_re
+from .scalars import GaussianRational, Scalar, as_fraction, scalar_im, scalar_key, scalar_re
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,6 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     For eigenvalue lambda of multiplicity r, the resolvent near lambda is
     g(s) / (s-lambda)^r with g = adj(sI-A) / (charpoly/(s-lambda)^r); the
     Taylor coefficients a_0..a_{r-1} of g around lambda give B_j = a_{r-j}.
-    For a rational A, the term of a Q(i) eigenvalue with negative imaginary
-    part is the entrywise conjugate of its partner's term.
     """
     if factored.mode != "complex":
         raise ValueError("pfd_residue requires a complex-mode factorization")
@@ -115,19 +109,11 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     h_den = math.lcm(*(c.denominator for c in charpoly))
     charpoly = [((c * h_den).numerator, 0) for c in charpoly]
     numerators = [to_integral(c) for c in adjugate.coeff_matrices]
-    mirror = matrix.is_rational_matrix()
-    multiplicity = {scalar_key(root): mult for root, mult in factored.linear}
     terms = []
     for eigenvalue, mult in factored.linear:
-        partner = conjugate_scalar(eigenvalue)
-        paired = mirror and scalar_im(eigenvalue) != 0 and multiplicity.get(scalar_key(partner)) == mult
-        if paired and scalar_im(eigenvalue) < 0:
-            continue  # appended with its partner below
         series = _residue_series(charpoly, h_den, numerators, eigenvalue, mult)
         coefficients = tuple(from_integral(*series[mult - j], n) for j in range(1, mult + 1))
         terms.append(EigenvalueTerm(_demote_scalar(eigenvalue), mult, coefficients))
-        if paired:
-            terms.append(EigenvalueTerm(partner, mult, tuple(b.map(conjugate_scalar) for b in coefficients)))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, tuple(terms))
 
@@ -142,7 +128,7 @@ def _residue_series(charpoly: list, h_den: int, numerators: list, eigenvalue, mu
     planes from to_integral), only the r adjugate Taylor matrices
     T_k = sum_m w_km N_m / (d_m e^(n-k)) are formed, and the series division
     a_k = (T_k - sum_t e_t a_{k-t}) / e_0 runs on whole matrices.
-    Returns each a_k as (re, im, den) integer planes.
+    Returns each a_k as integer planes (see linalg.to_integral).
     """
     n = len(charpoly) - 1
     re, im = scalar_re(eigenvalue), scalar_im(eigenvalue)
@@ -166,16 +152,12 @@ def _residue_series(charpoly: list, h_den: int, numerators: list, eigenvalue, mu
     inverse = _gscale((lead[0], -lead[1]), h_den * e ** (n - mult))
     series = []
     for k in range(mult):
-        combination = [
-            (_gmul(w, inverse), d * e ** (n - k) * norm, (xr, xi))
-            for w, (xr, xi, d) in zip(weights[k], numerators[k:])
-        ]
+        combination = [(_gmul(w, inverse), e ** (n - k) * norm, c) for w, c in zip(weights[k], numerators[k:])]
         for t in range(1, k + 1):
             if t + mult <= n:  # taylor[t + mult] vanishes beyond the degree
-                prev_re, prev_im, prev_den = series[k - t]
                 coefficient = _gmul(_gscale(taylor[t + mult], -1), inverse)
-                combination.append((coefficient, h_den * e ** (n - t - mult) * norm * prev_den, (prev_re, prev_im)))
-        series.append(_combine(combination))
+                combination.append((coefficient, h_den * e ** (n - t - mult) * norm, series[k - t]))
+        series.append(combine_integral(combination))
     return series
 
 
@@ -192,34 +174,6 @@ def _gsum(values) -> tuple:
     for x, y in values:
         re, im = re + x, im + y
     return re, im
-
-
-def _combine(terms: list) -> tuple:
-    """sum of g X / den over (g, den, X): g a Gaussian integer (re, im), X flat (re, im) planes.
-
-    Returns the sum as (re, im, den) integer planes over one positive
-    denominator with the common content removed; im is None when zero.
-    """
-    den = math.lcm(*(d for _, d, _ in terms))
-    size = len(terms[0][2][0])
-    out_re, out_im = [0] * size, [0] * size
-    for (gr, gi), d, (xr, xi) in terms:
-        gr, gi = gr * (den // d), gi * (den // d)
-        if gr:
-            out_re = [u + gr * v for u, v in zip(out_re, xr)]
-        if gi:
-            out_im = [u + gi * v for u, v in zip(out_im, xr)]
-        if xi is not None:
-            if gi:
-                out_re = [u - gi * v for u, v in zip(out_re, xi)]
-            if gr:
-                out_im = [u + gr * v for u, v in zip(out_im, xi)]
-    content = math.gcd(den, *out_re, *out_im)
-    if content > 1:
-        den //= content
-        out_re = [x // content for x in out_re]
-        out_im = [x // content for x in out_im]
-    return out_re, out_im if any(out_im) else None, den
 
 
 def _demote_scalar(x):

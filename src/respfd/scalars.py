@@ -323,10 +323,6 @@ def scalar_key(x) -> tuple[Fraction, Fraction]:
     return (scalar_re(x), scalar_im(x))
 
 
-def conjugate_scalar(x):
-    return x.conjugate() if isinstance(x, GaussianRational) else x
-
-
 def parse_rational(token: str) -> Fraction:
     """Parse strict integer / p/q syntax; rejects decimals and whitespace."""
     token = token.strip()
