@@ -83,7 +83,6 @@ from .polynomials import FactoredCharPoly, Poly, factor_charpoly
 from .scalars import (
     GaussianRational,
     Rational,
-    SqrtExt,
     format_scalar,
     parse_rational,
     parse_scalar,

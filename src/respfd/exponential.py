@@ -29,12 +29,11 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .linalg import Matrix, faddeev_leverrier, mat_vec
-from .pfd import ResolventPFD, pfd_real, pfd_residue
+from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
 from .scalars import (
     GaussianRational,
     Scalar,
-    SqrtExt,
     rational_sqrt,
     scalar_key,
 )
@@ -145,17 +144,13 @@ def _collect(matrix: Matrix, raw_terms) -> ClosedFormExp:
 def exp_from_pfd(pfd) -> ClosedFormExp:
     """Inverse-transform a decomposition into its closed-form exponential."""
     raw = []
-    if isinstance(pfd, ResolventPFD):
-        linear = pfd.terms
-        quadratic = ()
-    else:
-        linear = pfd.linear
-        quadratic = pfd.quadratic
-    for term in linear:
+    for term in pfd.linear:
         for j in range(1, term.multiplicity + 1):
-            coeff = term.coefficient(j) * Fraction(1, math.factorial(j - 1))
+            coeff = term.coefficient(j)
+            if j > 2:  # (j-1)! is 1 for j = 1, 2
+                coeff = coeff * Fraction(1, math.factorial(j - 1))
             raw.append((exp_basis(term.eigenvalue, j - 1), coeff))
-    for quad in quadratic:
+    for quad in pfd.quadratic:
         raw.append((cos_basis(quad.a, quad.d), quad.p_matrix))
         beta = rational_sqrt(quad.d)
         if beta is not None:
@@ -193,19 +188,6 @@ def exp_derivative(cf: ClosedFormExp) -> ClosedFormExp:
 def premultiply(cf: ClosedFormExp, m: Matrix) -> ClosedFormExp:
     """Left-multiply every coefficient: the closed form of M e^{tA}."""
     return _collect(cf.matrix, ((basis, m @ coeff) for basis, coeff in cf.terms))
-
-
-def sin_coefficient_materialized(cf: ClosedFormExp, basis: BasisFunction) -> Matrix:
-    """Fold a sine term's 1/sqrt(d) scale into the matrix, over Q(sqrt(d)).
-
-    Only meaningful for inv_scale terms; the result has SqrtExt entries
-    b*sqrt(d) with b = entry/d.
-    """
-    if basis.kind != "sin" or not basis.inv_scale:
-        raise ValueError("materialization applies to 1/sqrt(d)-scaled sine terms")
-    coeff = cf.coefficient_of(basis)
-    factor = SqrtExt(Fraction(0), Fraction(1) / basis.d, basis.d)  # = 1/sqrt(d)
-    return coeff.map(lambda x: factor * x)
 
 
 def _to_float(x):

@@ -345,22 +345,14 @@ def latex_factored(f: FactoredCharPoly) -> str:
             else:
                 base = f"(s + {latex_scalar(-r)})"
         parts.append(base if mult == 1 else f"{base}^{{{mult}}}")
-    for a, d in f.quadratic:
-        if a == 0:
-            parts.append(f"(s^2 + {latex_scalar(d)})")
-        else:
-            inner = f"s + {latex_scalar(a)}" if a > 0 else f"s - {latex_scalar(-a)}"
-            parts.append(f"(({inner})^2 + {latex_scalar(d)})")
+    parts += [f"({_latex_quadratic_denominator(a, d)})" for a, d in f.quadratic]
     return " ".join(parts) if parts else "1"
 
 
 def render_pfd(pfd, fmt: str) -> str:
-    is_real = isinstance(pfd, RealResolventPFD)
-    linear = pfd.linear if is_real else pfd.terms
-    quadratic = pfd.quadratic if is_real else ()
     if fmt == "json":
         payload = {
-            "mode": "real" if is_real else "complex",
+            "mode": "real" if isinstance(pfd, RealResolventPFD) else "complex",
             "n": pfd.size,
             "terms": [
                 {
@@ -368,7 +360,7 @@ def render_pfd(pfd, fmt: str) -> str:
                     "multiplicity": term.multiplicity,
                     "B": [matrix_to_json(term.coefficient(j)) for j in range(1, term.multiplicity + 1)],
                 }
-                for term in linear
+                for term in pfd.linear
             ],
             "quadratic": [
                 {
@@ -377,13 +369,13 @@ def render_pfd(pfd, fmt: str) -> str:
                     "P": matrix_to_json(quad.p_matrix),
                     "Q": matrix_to_json(quad.q_matrix),
                 }
-                for quad in quadratic
+                for quad in pfd.quadratic
             ],
         }
         return _finish_json(payload)
     if fmt == "latex":
         pieces = []
-        for term in linear:
+        for term in pfd.linear:
             for j in range(1, term.multiplicity + 1):
                 denom = f"s - {latex_scalar(term.eigenvalue)}" if term.eigenvalue != 0 else "s"
                 if j > 1:
@@ -391,7 +383,7 @@ def render_pfd(pfd, fmt: str) -> str:
                 else:
                     frac = f"\\frac{{1}}{{{denom}}}"
                 pieces.append(frac + latex_matrix(term.coefficient(j)))
-        for quad in quadratic:
+        for quad in pfd.quadratic:
             denom = _latex_quadratic_denominator(quad.a, quad.d)
             shifted = f"s + {latex_scalar(quad.a)}" if quad.a != 0 else "s"
             pieces.append(
@@ -400,12 +392,12 @@ def render_pfd(pfd, fmt: str) -> str:
             pieces.append(f"\\frac{{1}}{{{denom}}}" + latex_matrix(quad.q_matrix))
         return "(sI - A)^{-1} = " + " + ".join(pieces) + "\n"
     lines = []
-    for term in linear:
+    for term in pfd.linear:
         lines.append(f"lambda = {format_scalar(term.eigenvalue)} (multiplicity {term.multiplicity})")
         for j in range(1, term.multiplicity + 1):
             lines.append(f"  B[{j}] =")
             lines.append(format_matrix_block(term.coefficient(j), indent="    "))
-    for quad in quadratic:
+    for quad in pfd.quadratic:
         lines.append(f"quadratic factor {format_quadratic_factor(quad.a, quad.d)}")
         lines.append("  P =")
         lines.append(format_matrix_block(quad.p_matrix, indent="    "))

@@ -414,10 +414,11 @@ class PolyMatrix:
         return Poly(tuple(c[i, j] for c in self.coeff_matrices))
 
     def eval_at(self, s0: Scalar) -> Matrix:
-        out = Matrix.zeros(self.size, self.size)
+        """Entrywise Horner evaluation; an entry that is still zero takes no product."""
+        out = Matrix.zeros(self.size, self.size).rows
         for c in reversed(self.coeff_matrices):
-            out = out * s0 + c
-        return out
+            out = tuple(tuple(x * s0 + y if x else y for x, y in zip(r, rc)) for r, rc in zip(out, c.rows))
+        return Matrix(out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         top = max(len(self.coeff_matrices), len(other.coeff_matrices))

@@ -18,11 +18,17 @@ and are cross-checked against each other (the test suite, `respfd verify`):
 
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
-the sqrt(d) scale so that P and Q are rational matrices.
+the sqrt(d) scale so that P and Q are rational matrices.  pfd_real is the
+undetermined-coefficient solve with two more basis polynomials per quadratic
+factor: pfd_undetermined and pfd_real both build their basis and read the
+matrices solved by one sample-point solver, _solve_undetermined.
 
-verify_pfd recomputes the structural identities of the decomposition
-(projectors, chain recurrences, annihilation, reconstruction) from scratch
-and reports them individually.
+Both decomposition types expose `linear` (EigenvalueTerm, ...) and
+`quadratic` (QuadraticTerm, ..., empty in complex mode).
+
+verify_pfd and verify_real_pfd recompute the structural identities of the
+decomposition (projectors, chain recurrences, annihilation, reconstruction)
+from scratch and report them individually.
 """
 
 from __future__ import annotations
@@ -62,10 +68,19 @@ class QuadraticTerm:
 
 @dataclass(frozen=True)
 class ResolventPFD:
-    """Complete complex-mode decomposition, eigenvalues sorted by (re, im)."""
+    """Complete complex-mode decomposition, eigenvalues sorted by (re, im).
+
+    `linear` and the always-empty `quadratic` give it the shape of
+    RealResolventPFD, so consumers need not ask which mode they hold.
+    """
 
     matrix: Matrix
     terms: tuple  # EigenvalueTerm, ...
+    quadratic = ()
+
+    @property
+    def linear(self) -> tuple:
+        return self.terms
 
     @property
     def size(self) -> int:
@@ -89,10 +104,6 @@ class RealResolventPFD:
     @property
     def size(self) -> int:
         return self.matrix.nrows
-
-
-def _matrix_from_entries(n: int, entries) -> Matrix:
-    return Matrix(tuple(tuple(entries[i][j] for j in range(n)) for i in range(n)))
 
 
 def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> ResolventPFD:
@@ -182,10 +193,10 @@ def _demote_scalar(x):
     return x
 
 
-def sample_points(count: int, factored: FactoredCharPoly, n: int):
+def sample_points(count: int, eigenvalues, n: int) -> list:
     """Deterministic rational sample points s = n+1, n+2, ... skipping eigenvalues."""
     taken = []
-    forbidden = {scalar_key(root) for root, _ in factored.linear}
+    forbidden = {scalar_key(root) for root in eigenvalues}
     value = Fraction(n + 1)
     while len(taken) < count:
         if (value, Fraction(0)) not in forbidden:
@@ -194,50 +205,50 @@ def sample_points(count: int, factored: FactoredCharPoly, n: int):
     return taken
 
 
+def _linear_basis(charpoly: Poly, factored: FactoredCharPoly) -> list:
+    """charpoly/(s - lambda_i)^j for each eigenvalue lambda_i and j = 1..r_i, in that order."""
+    basis = []
+    for eigenvalue, mult in factored.linear:
+        partial = charpoly
+        for _ in range(mult):
+            partial, rem = divmod(partial, Poly.linear(eigenvalue))
+            if not rem.is_zero:
+                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
+            basis.append(partial)
+    return basis
+
+
+def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_polys: list) -> list:
+    """The matrices X_k of adj(sI-A) = sum_k X_k basis_polys[k](s), in basis order.
+
+    Evaluating the identity at one rational non-eigenvalue point per unknown
+    gives one exact linear system shared by every matrix entry; the n^2
+    right-hand sides are the entries of adj(s0 I - A).
+    """
+    n = adjugate.size
+    points = sample_points(len(basis_polys), [root for root, _ in factored.linear], n)
+    system = Matrix.from_rows([[poly.eval(s0) for poly in basis_polys] for s0 in points])
+    values = [adjugate.eval_at(s0) for s0 in points]
+    solution = solve_many(system, [[value[i, j] for value in values] for i in range(n) for j in range(n)])
+    return [Matrix(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n))) for row in solution]
+
+
 def pfd_undetermined(
     factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
 ) -> ResolventPFD:
     """Decomposition by undetermined matrix coefficients.
 
     Multiplying the decomposition by the characteristic polynomial gives the
-    polynomial identity  adj(sI-A) = sum_ij B_ij * charpoly(s)/(s-lambda_i)^j.
-    Evaluating at n distinct non-eigenvalue rational points yields one exact
-    linear system shared by every matrix entry.
+    polynomial identity  adj(sI-A) = sum_ij B_ij * charpoly(s)/(s-lambda_i)^j,
+    solved at sample points by _solve_undetermined.
     """
     if factored.mode != "complex":
         raise ValueError("pfd_undetermined requires a complex-mode factorization")
-    n = adjugate.size
-    charpoly = factored.expand()
-    unknowns = []  # (eigenvalue index, j)
-    basis_polys = []
-    for idx, (eigenvalue, mult) in enumerate(factored.linear):
-        partial = charpoly
-        for j in range(1, mult + 1):
-            partial, rem = divmod(partial, Poly.linear(eigenvalue))
-            if not rem.is_zero:
-                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
-            unknowns.append((idx, j))
-            basis_polys.append(partial)
-    points = sample_points(len(unknowns), factored, n)
-    v_rows = [[poly.eval(s0) for poly in basis_polys] for s0 in points]
-    rhs_columns = []
-    rhs_index = {}
-    for i in range(n):
-        for j in range(n):
-            rhs_index[(i, j)] = len(rhs_columns)
-            rhs_columns.append([adjugate.entry_poly(i, j).eval(s0) for s0 in points])
-    solution = solve_many(Matrix.from_rows(v_rows), rhs_columns)
-    by_eigenvalue: dict[int, list[Matrix]] = {}
-    for unknown_idx, (idx, j) in enumerate(unknowns):
-        entries = [
-            [solution[unknown_idx][rhs_index[(i, jj)]] for jj in range(n)] for i in range(n)
-        ]
-        by_eigenvalue.setdefault(idx, []).append(_matrix_from_entries(n, entries).demoted())
-    terms = []
-    for idx, (eigenvalue, mult) in enumerate(factored.linear):
-        terms.append(
-            EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(by_eigenvalue[idx]))
-        )
+    solved = iter(_solve_undetermined(factored, adjugate, _linear_basis(factored.expand(), factored)))
+    terms = [
+        EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(next(solved).demoted() for _ in range(mult)))
+        for eigenvalue, mult in factored.linear
+    ]
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, tuple(terms))
 
@@ -247,65 +258,25 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
 
     Linear factors contribute B_ij exactly as in complex mode; each quadratic
     factor (s+a)^2 + d contributes the pair (P, Q) of the term
-    ((s+a) P + Q)/((s+a)^2 + d).  All stored matrices are rational.
+    ((s+a) P + Q)/((s+a)^2 + d), i.e. two more basis polynomials
+    (s+a) charpoly/quad and charpoly/quad.  All stored matrices are rational.
     """
     if factored.mode != "real":
         raise ValueError("pfd_real requires a real-mode factorization")
-    n = adjugate.size
     charpoly = factored.expand()
-    basis_polys = []
-    layout = []  # ("linear", idx, j) or ("quad", idx, "P" | "Q")
-    for idx, (eigenvalue, mult) in enumerate(factored.linear):
-        partial = charpoly
-        for j in range(1, mult + 1):
-            partial, rem = divmod(partial, Poly.linear(eigenvalue))
-            if not rem.is_zero:
-                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
-            layout.append(("linear", idx, j))
-            basis_polys.append(partial)
-    for idx, (a, d) in enumerate(factored.quadratic):
-        quad = Poly((a * a + d, 2 * a, Fraction(1)))
-        cofactor, rem = divmod(charpoly, quad)
+    basis = _linear_basis(charpoly, factored)
+    for a, d in factored.quadratic:
+        cofactor, rem = divmod(charpoly, Poly((a * a + d, 2 * a, Fraction(1))))
         if not rem.is_zero:
             raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
-        shifted = Poly((a, Fraction(1)))  # s + a
-        layout.append(("quad", idx, "P"))
-        basis_polys.append(cofactor * shifted)
-        layout.append(("quad", idx, "Q"))
-        basis_polys.append(cofactor)
-    points = sample_points(len(basis_polys), factored, n)
-    v_rows = [[poly.eval(s0) for poly in basis_polys] for s0 in points]
-    rhs_columns = []
-    rhs_index = {}
-    for i in range(n):
-        for j in range(n):
-            rhs_index[(i, j)] = len(rhs_columns)
-            rhs_columns.append([adjugate.entry_poly(i, j).eval(s0) for s0 in points])
-    solution = solve_many(Matrix.from_rows(v_rows), rhs_columns)
-
-    def matrix_for(unknown_idx: int) -> Matrix:
-        entries = [
-            [solution[unknown_idx][rhs_index[(i, jj)]] for jj in range(n)] for i in range(n)
-        ]
-        return _matrix_from_entries(n, entries)
-
-    linear_by_idx: dict[int, list[Matrix]] = {}
-    quad_parts: dict[int, dict[str, Matrix]] = {}
-    for unknown_idx, slot in enumerate(layout):
-        kind, idx, tag = slot
-        if kind == "linear":
-            linear_by_idx.setdefault(idx, []).append(matrix_for(unknown_idx))
-        else:
-            quad_parts.setdefault(idx, {})[tag] = matrix_for(unknown_idx)
-    linear_terms = tuple(
-        EigenvalueTerm(eigenvalue, mult, tuple(linear_by_idx[idx]))
-        for idx, (eigenvalue, mult) in enumerate(factored.linear)
+        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
+    solved = iter(_solve_undetermined(factored, adjugate, basis))
+    linear = tuple(
+        EigenvalueTerm(eigenvalue, mult, tuple(next(solved) for _ in range(mult)))
+        for eigenvalue, mult in factored.linear
     )
-    quadratic_terms = tuple(
-        QuadraticTerm(a, d, quad_parts[idx]["P"], quad_parts[idx]["Q"])
-        for idx, (a, d) in enumerate(factored.quadratic)
-    )
-    return RealResolventPFD(matrix, linear_terms, quadratic_terms)
+    quadratic = tuple(QuadraticTerm(a, d, next(solved), next(solved)) for a, d in factored.quadratic)
+    return RealResolventPFD(matrix, linear, quadratic)
 
 
 def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
@@ -314,15 +285,8 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
     Raises EvalAtPole when s0 is an eigenvalue (or, real mode, a root of a
     quadratic factor, which cannot happen for real rational s0).
     """
-    n = pfd.size
-    acc = Matrix.zeros(n, n)
-    if isinstance(pfd, ResolventPFD):
-        linear = pfd.terms
-        quadratic = ()
-    else:
-        linear = pfd.linear
-        quadratic = pfd.quadratic
-    for term in linear:
+    acc = Matrix.zeros(pfd.size, pfd.size)
+    for term in pfd.linear:
         delta = s0 - term.eigenvalue
         if not delta:
             raise EvalAtPole(f"{s0} is an eigenvalue of the matrix")
@@ -331,7 +295,7 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
         for j in range(1, term.multiplicity + 1):
             acc = acc + term.coefficient(j) * power
             power = power * inv
-    for quad in quadratic:
+    for quad in pfd.quadratic:
         shifted = s0 + quad.a
         denom = shifted * shifted + quad.d
         if not denom:
@@ -356,14 +320,8 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     the power identity B_ij = B_i2^{j-1}; rank B_i1 = r_i; and exact resolvent
     reconstruction at three sample points.
     """
-    n = a.nrows
-    eye = Matrix.identity(n)
-    results: list[CheckResult] = []
-
-    total = Matrix.zeros(n, n)
-    for term in pfd.terms:
-        total = total + term.coefficient(1)
-    results.append(CheckResult("projector_sum", total == eye, "sum of B_i1 equals I"))
+    eye = Matrix.identity(a.nrows)
+    results = [CheckResult("projector_sum", _projector_sum(pfd) == eye, "sum of B_i1 equals I")]
 
     for term in pfd.terms:
         b1 = term.coefficient(1)
@@ -379,19 +337,7 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
                 "(A-lambda I) B_1 = B_1 (A-lambda I)",
             )
         )
-        recurrence_ok = True
-        for j in range(1, term.multiplicity):
-            if (shifted @ term.coefficient(j)) != term.coefficient(j + 1):
-                recurrence_ok = False
-        results.append(
-            CheckResult(
-                f"recurrence[{label}]", recurrence_ok, "(A-lambda I) B_j = B_{j+1}"
-            )
-        )
-        annihilated = (shifted @ term.coefficient(term.multiplicity)).is_zero
-        results.append(
-            CheckResult(f"annihilation[{label}]", annihilated, "(A-lambda I) B_r = 0")
-        )
+        results.extend(_recurrence_checks(shifted, term, label))
         power_ok = True
         if term.multiplicity >= 2:
             b2 = term.coefficient(2)
@@ -434,31 +380,10 @@ def verify_real_pfd(a: Matrix, pfd: RealResolventPFD) -> list[CheckResult]:
     underlying conjugate eigenvalue pair: (A + aI) P = Q, (A + aI) Q = -d P,
     and P idempotent for a simple factor.
     """
-    n = a.nrows
-    eye = Matrix.identity(n)
-    results: list[CheckResult] = []
-    total = Matrix.zeros(n, n)
+    eye = Matrix.identity(a.nrows)
+    results = [CheckResult("projector_sum", _projector_sum(pfd) == eye, "sum of B_i1 and P equals I")]
     for term in pfd.linear:
-        total = total + term.coefficient(1)
-    for quad in pfd.quadratic:
-        total = total + quad.p_matrix
-    results.append(
-        CheckResult("projector_sum", total == eye, "sum of B_i1 and P equals I")
-    )
-    for term in pfd.linear:
-        shifted = a - eye * term.eigenvalue
-        label = f"lambda={term.eigenvalue}"
-        recurrence_ok = True
-        for j in range(1, term.multiplicity):
-            if (shifted @ term.coefficient(j)) != term.coefficient(j + 1):
-                recurrence_ok = False
-        results.append(
-            CheckResult(f"recurrence[{label}]", recurrence_ok, "(A-lambda I) B_j = B_{j+1}")
-        )
-        annihilated = (shifted @ term.coefficient(term.multiplicity)).is_zero
-        results.append(
-            CheckResult(f"annihilation[{label}]", annihilated, "(A-lambda I) B_r = 0")
-        )
+        results.extend(_recurrence_checks(a - eye * term.eigenvalue, term, f"lambda={term.eigenvalue}"))
     for quad in pfd.quadratic:
         label = f"(s+{quad.a})^2+{quad.d}"
         shifted = a + eye * quad.a
@@ -487,32 +412,38 @@ def verify_real_pfd(a: Matrix, pfd: RealResolventPFD) -> list[CheckResult]:
     return results
 
 
+def _projector_sum(pfd) -> Matrix:
+    """Sum of every B_i1 and every quadratic P: the identity for a correct decomposition."""
+    total = Matrix.zeros(pfd.size, pfd.size)
+    for term in pfd.linear:
+        total = total + term.coefficient(1)
+    for quad in pfd.quadratic:
+        total = total + quad.p_matrix
+    return total
+
+
+def _recurrence_checks(shifted: Matrix, term: EigenvalueTerm, label: str) -> list[CheckResult]:
+    """Recurrence (A-lambda I) B_j = B_{j+1} and annihilation (A-lambda I) B_r = 0."""
+    recurrence_ok = all(
+        (shifted @ term.coefficient(j)) == term.coefficient(j + 1) for j in range(1, term.multiplicity)
+    )
+    annihilated = (shifted @ term.coefficient(term.multiplicity)).is_zero
+    return [
+        CheckResult(f"recurrence[{label}]", recurrence_ok, "(A-lambda I) B_j = B_{j+1}"),
+        CheckResult(f"annihilation[{label}]", annihilated, "(A-lambda I) B_r = 0"),
+    ]
+
+
 def _reconstruction_checks(a: Matrix, pfd) -> list[CheckResult]:
-    n = a.nrows
-    eye = Matrix.identity(n)
-    if isinstance(pfd, ResolventPFD):
-        linear = pfd.terms
-    else:
-        linear = pfd.linear
-    forbidden = {scalar_key(term.eigenvalue) for term in linear}
-    results = []
-    s0 = Fraction(n + 1)
-    found = 0
-    while found < 3:
-        if scalar_key(s0) in forbidden:
-            s0 += 1
-            continue
-        lhs = reconstruct_resolvent(pfd, s0) @ (eye * s0 - a)
-        results.append(
-            CheckResult(
-                f"reconstruction[s={s0}]",
-                lhs.demoted() == eye,
-                "pfd(s0) (s0 I - A) = I",
-            )
+    eye = Matrix.identity(a.nrows)
+    return [
+        CheckResult(
+            f"reconstruction[s={s0}]",
+            (reconstruct_resolvent(pfd, s0) @ (eye * s0 - a)).demoted() == eye,
+            "pfd(s0) (s0 I - A) = I",
         )
-        found += 1
-        s0 += 1
-    return results
+        for s0 in sample_points(3, [term.eigenvalue for term in pfd.linear], a.nrows)
+    ]
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -1,17 +1,14 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, quadratic surds.
+"""Exact scalar arithmetic: rationals and Gaussian rationals.
 
 Rational numbers are plain ``fractions.Fraction`` values (arbitrary precision,
 always gcd-reduced with a positive denominator), so all core computation is
-exact.  Two extension types live here:
+exact.  One extension type lives here:
 
   GaussianRational  --  re + im*i  with rational re, im.  Eigenvalues of
                         rational matrices that are complex but expressible
                         over the rationals land in this field.
-  SqrtExt           --  a + b*sqrt(d)  with rational a, b and a fixed positive
-                        non-square d.  Appears only at the boundary, e.g. when
-                        materializing the 1/sqrt(d) scale of a sine term.
 
-Both types interoperate with ``int`` and ``Fraction`` through the usual
+It interoperates with ``int`` and ``Fraction`` through the usual
 operator protocol, so polynomial and matrix code stays generic.
 
 Textual syntax used everywhere (files, CLI, JSON): integer ``-12``, rational
@@ -29,7 +26,7 @@ from typing import Union
 Rational = Fraction
 
 # Scalars accepted by the generic matrix / polynomial code.
-Scalar = Union[int, Fraction, "GaussianRational", "SqrtExt"]
+Scalar = Union[int, Fraction, "GaussianRational"]
 
 _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
 _GAUSSIAN_RE = _re.compile(
@@ -160,120 +157,6 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-class SqrtExt:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), d a fixed positive non-square."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: Fraction | int, b: Fraction | int, d: Fraction | int):
-        d = Fraction(d)
-        if d <= 0:
-            raise ValueError("the extension radicand must be positive")
-        if rational_sqrt(d) is not None:
-            raise ValueError(f"radicand {d} is a perfect square; use Fraction")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SqrtExt is immutable")
-
-    def __repr__(self) -> str:
-        return f"SqrtExt({self.a!r}, {self.b!r}, {self.d!r})"
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-    def _coerce(self, value) -> "SqrtExt | None":
-        if isinstance(value, SqrtExt):
-            if value.d != self.d:
-                raise ValueError("cannot mix different quadratic extensions")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return SqrtExt.__new__(SqrtExt)._init_raw(Fraction(value), Fraction(0), self.d)
-        return None
-
-    def _init_raw(self, a, b, d) -> "SqrtExt":
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        return self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SqrtExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __neg__(self) -> "SqrtExt":
-        return SqrtExt.__new__(SqrtExt)._init_raw(-self.a, -self.b, self.d)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return SqrtExt.__new__(SqrtExt)._init_raw(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return SqrtExt.__new__(SqrtExt)._init_raw(self.a - other.a, self.b - other.b, self.d)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return SqrtExt.__new__(SqrtExt)._init_raw(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.a * other.a - other.b * other.b * other.d
-        if n == 0:
-            # a^2 = b^2 d with d non-square forces a = b = 0
-            raise ZeroDivisionError("division by zero extension element")
-        conj = other.conjugate()
-        num = self * conj
-        return SqrtExt.__new__(SqrtExt)._init_raw(num.a / n, num.b / n, self.d)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def conjugate(self) -> "SqrtExt":
-        return SqrtExt.__new__(SqrtExt)._init_raw(self.a, -self.b, self.d)
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
-
-
 def rational_sqrt(x: Fraction | int) -> Fraction | None:
     """Return the exact rational square root of x, or None if there is none."""
     x = Fraction(x)
@@ -289,13 +172,11 @@ def rational_sqrt(x: Fraction | int) -> Fraction | None:
 
 
 def is_rational(x) -> bool:
-    """True for values living in plain Q (possibly a demotable extension element)."""
+    """True for values living in plain Q (possibly a demotable Gaussian rational)."""
     if isinstance(x, (int, Fraction)):
         return True
     if isinstance(x, GaussianRational):
         return x.im == 0
-    if isinstance(x, SqrtExt):
-        return x.b == 0
     return False
 
 
@@ -305,8 +186,6 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, GaussianRational) and x.im == 0:
         return x.re
-    if isinstance(x, SqrtExt) and x.b == 0:
-        return x.a
     raise ValueError(f"{x!r} is not a rational value")
 
 
@@ -369,13 +248,4 @@ def format_scalar(x) -> str:
             return im_text
         sign = "+" if im > 0 else ""
         return f"{x.re}{sign}{im_text}"
-    if isinstance(x, SqrtExt):
-        if x.b == 0:
-            return str(x.a)
-        b_text = "" if x.b == 1 else ("-" if x.b == -1 else f"{x.b}*")
-        surd = f"{b_text}sqrt({x.d})"
-        if x.a == 0:
-            return surd
-        sign = "+" if x.b > 0 else ""
-        return f"{x.a}{sign}{surd}"
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")

@@ -16,11 +16,9 @@ from respfd.exponential import (
     premultiply,
     relative_error,
     sin_basis,
-    sin_coefficient_materialized,
     solve_ivp,
 )
 from respfd.linalg import Matrix
-from respfd.scalars import SqrtExt
 from tests.conftest import (
     GOLDEN_2X2_DISTINCT,
     GOLDEN_2X2_ROTATION,
@@ -31,6 +29,7 @@ from tests.conftest import (
     NILPOTENT_2X2,
     random_jordan_matrix,
 )
+from tests.surds import SqrtExt, sin_coefficient_materialized
 
 
 def test_distinct_real_closed_form():

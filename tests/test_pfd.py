@@ -18,7 +18,7 @@ from respfd.pfd import (
     verify_real_pfd,
 )
 from respfd.polynomials import factor_charpoly
-from respfd.scalars import GaussianRational, SqrtExt
+from respfd.scalars import GaussianRational, rational_sqrt
 from tests.conftest import (
     GOLDEN_2X2_DISTINCT,
     GOLDEN_2X2_ROTATION,
@@ -26,8 +26,11 @@ from tests.conftest import (
     GOLDEN_3X3_IVP,
     GOLDEN_3X3_SPIRAL,
     NILPOTENT_2X2,
+    block_diagonal,
+    disguised,
     random_jordan_matrix,
 )
+from tests.surds import SqrtExt
 
 
 def _complex_pfd(a, algorithm=pfd_residue):
@@ -176,6 +179,34 @@ def test_real_mode_linear_part_matches_complex(rng):
         real_pfd = _real_pfd(a)
         assert real_pfd.quadratic == ()
         assert complex_pfd.terms == real_pfd.linear
+
+
+MIXED_BLOCKS = ([[1, -2], [2, 1]], [[3, 1], [0, 3]], [[0, -1], [1, 0]], [[-1]])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [GOLDEN_3X3_SPIRAL, GOLDEN_2X2_ROTATION]
+    + [disguised(block_diagonal(*MIXED_BLOCKS), seed) for seed in (1, 2, 3)],
+)
+def test_real_mode_pairs_match_residue_terms(a):
+    # For a quadratic (s+a)^2 + d with beta = sqrt(d) rational and roots
+    # lambda = -a +- i beta, the complex terms B+/(s-lambda+) + B-/(s-lambda-)
+    # regroup as ((s+a) P + Q)/((s+a)^2 + d) with P = B+ + B-, Q = i beta (B+ - B-).
+    charpoly, adjugate = faddeev_leverrier(a)
+    factored = factor_charpoly(charpoly, "complex")
+    residue = pfd_residue(factored, adjugate, a)
+    real = pfd_real(factored.view("real"), adjugate, a)
+    for term in real.linear:
+        assert term.coefficients == residue.term_for(term.eigenvalue).coefficients
+    assert real.quadratic
+    for quad in real.quadratic:
+        beta = rational_sqrt(quad.d)
+        assert beta is not None
+        plus = residue.term_for(GaussianRational(-quad.a, beta)).coefficient(1)
+        minus = residue.term_for(GaussianRational(-quad.a, -beta)).coefficient(1)
+        assert quad.p_matrix == plus + minus
+        assert quad.q_matrix == (plus - minus) * GaussianRational(0, beta)
 
 
 def test_reconstruction_golden_at_zero():

@@ -9,12 +9,12 @@ import pytest
 
 from respfd.scalars import (
     GaussianRational,
-    SqrtExt,
     format_scalar,
     parse_rational,
     parse_scalar,
     rational_sqrt,
 )
+from tests.surds import SqrtExt
 
 
 def test_rational_arithmetic_textbook():
