@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteBasis, InconsistentSystem, NotAGeneralizedEigenvector, SelfCheckFailed
-from .linalg import Matrix, mat_vec, nullspace, rank, solve, vec_is_zero
+from .linalg import Matrix, mat_vec, rank, solve, vec_is_zero
 from .pfd import ResolventPFD
 from .scalars import Scalar
 
@@ -182,7 +182,6 @@ def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
 
 
 def geometric_multiplicity(a: Matrix, eigenvalue: Scalar) -> int:
-    """Nullity of A - lambda I, computed independently by elimination."""
+    """Nullity n - rank(A - lambda I), counted independently by elimination (no basis is built)."""
     n = a.nrows
-    shifted = a - Matrix.identity(n) * eigenvalue
-    return len(nullspace(shifted))
+    return n - rank(a - Matrix.identity(n) * eigenvalue)

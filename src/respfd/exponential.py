@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, faddeev_leverrier, mat_vec
+from .linalg import Matrix, faddeev_leverrier, mat_vec, vec_is_zero
 from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
 from .scalars import (
@@ -333,11 +333,14 @@ def solve_ivp(a: Matrix, y0, mode: str = "auto", hints=None) -> IVPSolution:
 
 
 def general_solution(a: Matrix, mode: str = "auto", hints=None) -> GeneralSolution:
-    """The n fundamental solutions, grouped per basis function."""
+    """The n fundamental solutions, grouped per basis function.
+
+    The c-th fundamental solution is e^{tA} e_c, so each coefficient
+    contributes its c-th column; no product is formed.
+    """
     cf = matrix_exponential(a, mode, hints)
-    n = a.nrows
     columns = []
-    for c in range(n):
-        unit = tuple(Fraction(1) if i == c else Fraction(0) for i in range(n))
-        columns.append(tuple(cf.apply_to(unit)))
+    for c in range(a.nrows):
+        terms = ((basis, coeff.column(c)) for basis, coeff in cf.terms)
+        columns.append(tuple((basis, column) for basis, column in terms if not vec_is_zero(column)))
     return GeneralSolution(a, tuple(columns))

@@ -1,21 +1,31 @@
 """Exact dense matrix arithmetic and fraction-free elimination.
 
 Matrices are immutable, stored row-major as nested tuples of exact scalars
-(Fraction or GaussianRational; anything with exact field operators works).
-Vectors are plain tuples.
-
-Elimination uses Bareiss' fraction-free scheme: rational rows are scaled to a
-common integer denominator first, so intermediate entries are minors of an
-integer (or Gaussian-integer) matrix and stay small.  One echelon pass backs
-the determinant, rank, nullspace, and linear solves.
+(Fraction or GaussianRational).  Vectors are plain tuples.
 
 The integer kernel: to_integral splits a matrix into integer numerator
-planes (real, plus imaginary when some entry is non-real) over one
-positive denominator, the layout of FLINT's fmpq_mat; from_integral maps
-back, and combine_integral forms Gaussian-integer linear combinations of
-such planes.  faddeev_leverrier runs entirely on those Python-int planes, producing
-the characteristic polynomial and the full adjugate polynomial adj(sI - A)
-in a single O(n^4) sweep with the built-in self-check A*B_n + c_0*I = 0.
+planes (real, plus imaginary when some entry is non-real) over one positive
+denominator, the layout of FLINT's fmpq_mat; from_integral maps back, and
+combine_integral forms Gaussian-integer linear combinations of such planes.
+The exact hot paths run on those Python-int planes and build Fractions only
+at the boundary:
+
+  products      Matrix @ is one integer product of the two operands' planes
+                over d_x d_y; PolyMatrix @ sums the plane products of each
+                output coefficient in one integer accumulator.
+  elimination   det, rank, nullspace, solve_many, inverse and solve_integral
+                scale each row once by its own denominator and run Bareiss'
+                fraction-free elimination over Z or Z[i]: entries stay minors
+                of the input, and every division is a checked exact quotient.
+                Back-substitution is fraction-free too (y = D x, D the last
+                pivot), so a solution entry costs one Fraction.
+  adjugate      faddeev_leverrier produces the characteristic polynomial and
+                the full adjugate polynomial adj(sI - A) in a single O(n^4)
+                sweep with the built-in self-check A*B_n + c_0*I = 0.
+
+Matrix + and scalar * stay on Fraction entries.  They, @ and
+linear_combination also accept entries outside Q(i) (such as quadratic
+surds), which have no integer planes and take plain field arithmetic.
 """
 
 from __future__ import annotations
@@ -34,10 +44,6 @@ from .scalars import GaussianRational, Scalar, as_fraction, is_rational
 SIZE_LIMIT = 12
 
 
-def _coerce_entry(x) -> Scalar:
-    return Fraction(x) if isinstance(x, int) else x
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix; entries row-major as a tuple of row tuples."""
@@ -45,7 +51,7 @@ class Matrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(_coerce_entry(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in row) for row in self.rows)
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):
@@ -120,17 +126,20 @@ class Matrix:
         return Matrix(tuple(tuple(other * x for x in row) for row in self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """One integer product of the operands' planes (see to_integral), over d_x d_y."""
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = tuple(other.column(j) for j in range(other.ncols))
-        return Matrix(
-            tuple(
-                tuple(_dot(row, col) for col in cols)
-                for row in self.rows
-            )
-        )
+        if not (self.nrows and other.ncols):
+            return Matrix.zeros(self.nrows, other.ncols)
+        try:
+            (xr, xi, dx), (yr, yi, dy) = to_integral(self), to_integral(other)
+        except TypeError:  # an entry outside Q(i), such as a quadratic surd: field arithmetic
+            cols = [other.column(j) for j in range(other.ncols)]
+            return Matrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows))
+        product = _plane_matmul((xr, xi), (yr, yi), self.nrows, self.ncols, other.ncols)
+        return from_integral(*product, dx * dy, other.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols)))
@@ -159,112 +168,149 @@ class Matrix:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
 
 
-def _dot(u: Sequence, v: Sequence) -> Scalar:
-    acc = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
     if m.ncols != len(v):
         raise DimensionMismatch(f"cannot apply {m.nrows}x{m.ncols} to length-{len(v)} vector")
-    return tuple(_dot(row, v) for row in m.rows)
+    (xr, xi, dx), (yr, yi, dy) = to_integral(m), entries_to_integral(v)
+    return tuple(_scalars(*_plane_matmul((xr, xi), (yr, yi), m.nrows, m.ncols, 1), dx * dy))
 
 
 def vec_is_zero(v: Sequence) -> bool:
     return all(not x for x in v)
 
 
-def _row_to_integral(row: Sequence) -> list:
-    """Scale a row of Fractions/Gaussians to integral entries (growth control)."""
-    common = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-        elif isinstance(x, GaussianRational):
-            d = x.re.denominator * x.im.denominator // math.gcd(
-                x.re.denominator, x.im.denominator
-            )
-        else:
-            return list(row)  # exotic scalars: skip scaling, stay in the field
-        common = common * d // math.gcd(common, d)
-    if common == 1:
-        return list(row)
-    return [x * common for x in row]
+def _echelon(re: list, im: list | None, ncols_main: int) -> tuple[list[int], int]:
+    """Bareiss fraction-free forward elimination, in place, on integer rows.
 
-
-def _echelon(rows: list[list], ncols_main: int) -> tuple[list[list], list[int], int]:
-    """Bareiss fraction-free forward elimination over the main columns.
-
-    Trailing columns beyond ncols_main ride along (augmented systems).
-    Returns (rows, pivot column indices, sign of the row permutation).
-    Pivoting picks the first row with a nonzero entry, so results are
-    deterministic.
+    re holds the rows as int lists; im their imaginary parts for a system over
+    Z[i], or None for one over Z.  Trailing columns beyond ncols_main ride
+    along (augmented systems).  Every entry stays a minor of the input, so
+    each division by the previous pivot is an exact quotient, and is checked.
+    Returns (pivot column indices, sign of the row permutation).  Pivoting
+    picks the first row with a nonzero entry, so results are deterministic.
     """
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
+    nrows = len(re)
     pivots: list[int] = []
     sign = 1
-    prev = Fraction(1)
+    prev = (1, 0)
     r = 0
     for c in range(ncols_main):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, nrows) if re[i][c] or (im is not None and im[i][c])), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            for plane in (re,) if im is None else (re, im):
+                plane[r], plane[pivot_row] = plane[pivot_row], plane[r]
             sign = -sign
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            head = rows[i][c]
-            for j in range(c + 1, width):
-                rows[i][j] = (pivot * rows[i][j] - head * rows[r][j]) / prev
-            rows[i][c] = Fraction(0)
-        prev = pivot
+        pr, top_re = re[r][c], re[r][c + 1:]
+        if im is None:
+            for row in re[r + 1:]:
+                h = row[c]
+                new_re, _ = _exact_quotients([pr * x - h * y for x, y in zip(row[c + 1:], top_re)], None, prev)
+                row[c:] = [0] + new_re
+            prev = (pr, 0)
+        else:
+            pi, top_im = im[r][c], im[r][c + 1:]
+            for row_re, row_im in zip(re[r + 1:], im[r + 1:]):
+                hr, hi = row_re[c], row_im[c]
+                tail = list(zip(row_re[c + 1:], row_im[c + 1:], top_re, top_im))
+                new_re, new_im = _exact_quotients(
+                    [pr * x - pi * y - hr * u + hi * v for x, y, u, v in tail],
+                    [pr * y + pi * x - hr * v - hi * u for x, y, u, v in tail],
+                    prev,
+                )
+                row_re[c:], row_im[c:] = [0] + new_re, [0] + new_im
+            prev = (pr, pi)
         pivots.append(c)
         r += 1
-    return rows, pivots, sign
+    return pivots, sign
+
+
+def _exact_quotients(re: list, im: list | None, q: tuple) -> tuple[list, list | None]:
+    """(re + i*im) / q for a nonzero Gaussian integer q = (qr, qi); every quotient must be exact."""
+    qr, qi = q
+    norm = qr
+    if qi:
+        norm = qr * qr + qi * qi
+        re, im = [x * qr + y * qi for x, y in zip(re, im)], [y * qr - x * qi for x, y in zip(re, im)]
+    if norm == 1:
+        return re, im
+    return _exact_division(re, norm), None if im is None else _exact_division(im, norm)
+
+
+def _exact_division(values: list, k: int) -> list:
+    if any(x % k for x in values):
+        raise SelfCheckFailed("linalg", f"fraction-free elimination: a division by {k} is not exact")
+    return [x // k for x in values]
+
+
+def _system(row_planes: list) -> tuple[list, list | None]:
+    """Integer rows (re, im or None for a real system) from per-row planes (re, im | None, d)."""
+    re = [p[0] for p in row_planes]
+    if all(p[1] is None for p in row_planes):
+        return re, None
+    return re, [p[1] if p[1] is not None else [0] * len(p[0]) for p in row_planes]
+
+
+def _back_substitute(re: list, im: list | None, pivots: list, ncols: int, rhs_cols: Sequence) -> tuple[list, int]:
+    """Fraction-free back-substitution on echelon rows, free variables zero.
+
+    With D the last pivot, y = D x is integral (Cramer's rule on the pivot
+    columns), so y_c = (D b - sum_{j > c} e_j y_j) / e_c is an exact quotient.
+    Returns (one (re, im | None) plane pair per variable, den > 0): the
+    solution for right-hand side rhs_cols[t] is planes[t] / den.
+    """
+    k = len(rhs_cols)
+    solution = [([0] * k, None if im is None else [0] * k)] * ncols
+    rows = [(row, None if im is None else im[i]) for i, row in enumerate(re[: len(pivots)])]
+
+    def entry(row: tuple, j: int) -> tuple:
+        return row[0][j], 0 if row[1] is None else row[1][j]
+
+    lead = entry(rows[-1], pivots[-1]) if pivots else (1, 0)
+    for idx in range(len(pivots) - 1, -1, -1):
+        later = pivots[idx + 1 :]
+        # one (1 x m)(m x k) product: (D, -e_j, ...) times the stacked b and later y_j
+        coef = tuple(None if part is None else [d] + [-part[j] for j in later] for part, d in zip(rows[idx], lead))
+        stack = tuple(
+            None if part is None else [part[t] for t in rhs_cols] + [x for j in later for x in solution[j][p]]
+            for p, part in enumerate(rows[idx])
+        )
+        y = _plane_matmul(coef, stack, 1, len(later) + 1, k)
+        solution[pivots[idx]] = _exact_quotients(*y, entry(rows[idx], pivots[idx]))
+    # x = y / D over a positive denominator
+    d_re, d_im = lead
+    if d_im:
+        return [_plane_matmul(([d_re], [-d_im]), y, 1, 1, k) for y in solution], d_re * d_re + d_im * d_im
+    if d_re < 0:
+        negated = [([-x for x in y_re], None if y_im is None else [-x for x in y_im]) for y_re, y_im in solution]
+        return negated, -d_re
+    return solution, d_re
 
 
 def det(m: Matrix) -> Scalar:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by fraction-free elimination; each row is scaled by its own denominator."""
     if not m.is_square:
         raise DimensionMismatch("determinant requires a square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    rows = []
-    for row in m.rows:
-        scaled = _row_to_integral(row)
-        # recover the scaling factor exactly from any nonzero entry
-        scale = scale * _scaling_factor(row, scaled)
-        rows.append(scaled)
-    rows, pivots, sign = _echelon(rows, n)
+    row_planes = [entries_to_integral(row) for row in m.rows]
+    re, im = _system(row_planes)
+    pivots, sign = _echelon(re, im, n)
     if len(pivots) < n:
         return Fraction(0)
-    value = rows[n - 1][n - 1]
-    return sign * value / scale
-
-
-def _scaling_factor(original: Sequence, scaled: Sequence) -> Fraction:
-    for a, b in zip(original, scaled):
-        if a:
-            ratio = b / a
-            return as_fraction(ratio) if not isinstance(ratio, Fraction) else ratio
-    return Fraction(1)
+    value_im = None if im is None else [sign * im[-1][-1]]
+    return _scalars([sign * re[-1][-1]], value_im, math.prod(p[2] for p in row_planes))[0]
 
 
 def rank(m: Matrix) -> int:
-    rows = [_row_to_integral(row) for row in m.rows]
-    if not rows:
+    if not m.rows:
         return 0
-    _, pivots, _ = _echelon(rows, m.ncols)
-    return len(pivots)
+    re, im = _system([entries_to_integral(row) for row in m.rows])
+    return len(_echelon(re, im, m.ncols)[0])
 
 
 def nullspace(m: Matrix) -> list[tuple]:
@@ -274,23 +320,19 @@ def nullspace(m: Matrix) -> list[tuple]:
     nonzero entry made positive (deterministic output).
     """
     ncols = m.ncols
-    rows = [_row_to_integral(row) for row in m.rows]
-    rows, pivots, _ = _echelon(rows, ncols)
+    re, im = _system([entries_to_integral(row) for row in m.rows])
+    pivots, _ = _echelon(re, im, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
+    # the pivot variables solve E x = -(column of the free variable)
+    solution, den = _back_substitute(re, im, pivots, ncols, free_cols)
+    values = {c: _scalars(*solution[c], den) for c in pivots}
     basis = []
-    for free in free_cols:
+    for t, free in enumerate(free_cols):
         vec: list = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        # back-substitute pivot variables, bottom up
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = rows[k]
-            acc = Fraction(0)
-            for j in range(c + 1, ncols):
-                if row[j] and vec[j]:
-                    acc = acc + row[j] * vec[j]
-            vec[c] = -acc / row[c]
+        for c in pivots:
+            vec[c] = -values[c][t]
         basis.append(normalize_vector(tuple(vec)))
     return basis
 
@@ -309,39 +351,41 @@ def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[list]:
     rhs_columns is a sequence of columns; returns the solution rows (one list
     per variable, entries per column), free variables fixed at zero.
     """
-    nrows, ncols = m.nrows, m.ncols
-    k = len(rhs_columns)
-    aug = []
-    for i in range(nrows):
-        row = list(m.rows[i]) + [col[i] for col in rhs_columns]
-        aug.append(_row_to_integral(row))
-    aug, pivots, _ = _echelon(aug, ncols)
-    for i in range(len(pivots), nrows):
-        if any(aug[i][ncols + t] for t in range(k)):
+    rows = [entries_to_integral(tuple(row) + tuple(col[i] for col in rhs_columns)) for i, row in enumerate(m.rows)]
+    solution, den = solve_integral(rows, m.ncols)
+    return [_scalars(*planes, den) for planes in solution]
+
+
+def solve_integral(row_planes: list, ncols: int) -> tuple[list, int]:
+    """Solve M X = B given the integer planes of each augmented row [M | B].
+
+    row_planes holds one (re, im | None, d) per row, as from to_integral or
+    combine_integral; d is ignored, since scaling a row leaves X unchanged.
+    Columns after ncols are right-hand sides.  Returns (one (re, im | None)
+    plane pair per variable, den > 0) with X = planes / den, free variables
+    fixed at zero; raises InconsistentSystem.
+    """
+    re, im = _system(row_planes)
+    pivots, _ = _echelon(re, im, ncols)
+    for i in range(len(pivots), len(re)):
+        if any(re[i][ncols:]) or (im is not None and any(im[i][ncols:])):
             raise InconsistentSystem("no solution for the given right-hand side")
-    out = [[Fraction(0)] * k for _ in range(ncols)]
-    for t in range(k):
-        for idx in range(len(pivots) - 1, -1, -1):
-            c = pivots[idx]
-            row = aug[idx]
-            acc = row[ncols + t]
-            for j in range(c + 1, ncols):
-                if row[j] and out[j][t]:
-                    acc = acc - row[j] * out[j][t]
-            out[c][t] = acc / row[c]
-    return out
+    width = len(re[0]) if re else ncols
+    return _back_substitute(re, im, pivots, ncols, range(ncols, width))
 
 
 def inverse(m: Matrix) -> Matrix:
+    """Exact inverse from one elimination of [m | I]; InconsistentSystem when m is singular."""
     if not m.is_square:
         raise DimensionMismatch("inverse requires a square matrix")
     n = m.nrows
-    if rank(m) < n:
+    augmented = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.rows)]
+    re, im = _system([entries_to_integral(row) for row in augmented])
+    pivots, _ = _echelon(re, im, n)
+    if len(pivots) < n:
         raise InconsistentSystem("matrix is singular")
-    eye = Matrix.identity(n)
-    cols = [list(eye.column(j)) for j in range(n)]
-    sol = solve_many(m, cols)
-    return Matrix(tuple(tuple(sol[i][j] for j in range(n)) for i in range(n)))
+    solution, den = _back_substitute(re, im, pivots, n, range(n, 2 * n))
+    return Matrix(tuple(tuple(_scalars(*planes, den)) for planes in solution))
 
 
 def normalize_vector(v: Sequence) -> tuple:
@@ -413,13 +457,6 @@ class PolyMatrix:
     def entry_poly(self, i: int, j: int) -> Poly:
         return Poly(tuple(c[i, j] for c in self.coeff_matrices))
 
-    def eval_at(self, s0: Scalar) -> Matrix:
-        """Entrywise Horner evaluation; an entry that is still zero takes no product."""
-        out = Matrix.zeros(self.size, self.size).rows
-        for c in reversed(self.coeff_matrices):
-            out = tuple(tuple(x * s0 + y if x else y for x, y in zip(r, rc)) for r, rc in zip(out, c.rows))
-        return Matrix(out)
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         top = max(len(self.coeff_matrices), len(other.coeff_matrices))
         return PolyMatrix(
@@ -427,15 +464,20 @@ class PolyMatrix:
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix-polynomial product; each output coefficient sums its plane products in one integer accumulator."""
+        n = self.size
         if not self.coeff_matrices or not other.coeff_matrices:
-            return PolyMatrix(self.size, ())
-        out = [Matrix.zeros(self.size, self.size)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeff_matrices):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeff_matrices):
-                out[i + j] = out[i + j] + (a @ b)
-        return PolyMatrix(self.size, tuple(out))
+            return PolyMatrix(n, ())
+        xs = [to_integral(c) for c in self.coeff_matrices]
+        ys = [to_integral(c) for c in other.coeff_matrices]
+        out = []
+        for k in range(len(xs) + len(ys) - 1):
+            products = [
+                ((1, 0), 1, (*_plane_matmul(xs[i][:2], ys[k - i][:2], n, n, n), xs[i][2] * ys[k - i][2]))
+                for i in range(max(0, k - len(ys) + 1), min(k, len(xs) - 1) + 1)
+            ]
+            out.append(from_integral(*combine_integral(products), n))
+        return PolyMatrix(n, tuple(out))
 
     @property
     def is_zero(self) -> bool:
@@ -448,30 +490,45 @@ def s_identity_minus(a: Matrix) -> PolyMatrix:
     return PolyMatrix(n, (-a, Matrix.identity(n)))
 
 
+_QI_TYPES = {Fraction, GaussianRational, int}
+
+
 def to_integral(m: Matrix) -> tuple[list, list | None, int]:
     """Integer planes of m over one positive common denominator.
 
     Returns (re, im, d) with m = (re + i*im) / d entrywise; re and im are flat
     row-major lists of ints, and im is None when no entry has an imaginary part.
     """
-    entries = [x for row in m.rows for x in row]
-    planes = [[x.re if isinstance(x, GaussianRational) else x for x in entries]]
-    if any(isinstance(x, GaussianRational) and x.im for x in entries):
-        planes.append([x.im if isinstance(x, GaussianRational) else 0 for x in entries])
-    d = math.lcm(*(x.denominator for plane in planes for x in plane))
-    planes = [[x.numerator * (d // x.denominator) for x in plane] for plane in planes]
+    return entries_to_integral([x for row in m.rows for x in row])
+
+
+def entries_to_integral(entries: Sequence) -> tuple[list, list | None, int]:
+    """to_integral of a flat sequence of scalars; TypeError for a scalar outside Q(i)."""
+    kinds = set(map(type, entries))
+    if not kinds <= _QI_TYPES:
+        raise TypeError("only rational and Gaussian rational entries have integer planes")
+    planes = [entries]
+    if GaussianRational in kinds:
+        planes = [[x.re if isinstance(x, GaussianRational) else x for x in entries]]
+        im = [x.im if isinstance(x, GaussianRational) else 0 for x in entries]
+        if any(im):
+            planes.append(im)
+    ratios = [[x.as_integer_ratio() for x in plane] for plane in planes]
+    d = math.lcm(*(q for plane in ratios for _, q in plane))
+    planes = [[p * (d // q) for p, q in plane] for plane in ratios]
     return planes[0], planes[1] if len(planes) > 1 else None, d
 
 
-def from_integral(re: list, im: list | None, d: int, ncols: int) -> Matrix:
-    """The exact matrix (re + i*im) / d from flat row-major integer planes.
-
-    Entries are Fractions, or GaussianRationals when some imaginary part is nonzero.
-    """
+def _scalars(re: list, im: list | None, d: int) -> list:
+    """The scalars (re + i*im) / d: Fractions, or GaussianRationals when some imaginary part is nonzero."""
     if im is None or not any(im):
-        entries = [Fraction(x, d) for x in re]
-    else:
-        entries = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+        return [Fraction(x, d) for x in re]
+    return [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
+def from_integral(re: list, im: list | None, d: int, ncols: int) -> Matrix:
+    """The exact matrix (re + i*im) / d from flat row-major integer planes (entries as in _scalars)."""
+    entries = _scalars(re, im, d)
     return Matrix(tuple(tuple(entries[k : k + ncols]) for k in range(0, len(entries), ncols)))
 
 
@@ -504,22 +561,38 @@ def combine_integral(terms: list) -> tuple[list, list | None, int]:
     return out_re, out_im if any(out_im) else None, den
 
 
-def _int_matmul(x: list, y: list, n: int) -> list:
-    rows = [x[k : k + n] for k in range(0, n * n, n)]
+def linear_combination(weights: Sequence, matrices: Sequence) -> Matrix:
+    """sum_k weights[k] * matrices[k]: one combine_integral over the matrices' planes."""
+    try:
+        terms = []
+        for w, m in zip(weights, matrices):
+            (re,), im, d = entries_to_integral([w])
+            terms.append(((re, 0 if im is None else im[0]), d, to_integral(m)))
+    except TypeError:  # a weight outside Q(i), such as a quadratic surd: field arithmetic
+        acc = Matrix.zeros(matrices[0].nrows, matrices[0].ncols)
+        for w, m in zip(weights, matrices):
+            acc = acc + m * w
+        return acc
+    return from_integral(*combine_integral(terms), matrices[0].ncols)
+
+
+def _int_matmul(x: list, y: list, m: int, k: int, n: int) -> list:
+    """Row-major (m x k)(k x n) product of flat int lists."""
+    rows = [x[i * k : (i + 1) * k] for i in range(m)]
     cols = [y[j::n] for j in range(n)]
     return [sum(map(operator.mul, row, col)) for row in rows for col in cols]
 
 
-def _plane_matmul(x: tuple, y: tuple, n: int) -> tuple:
-    """Product of n x n Gaussian-integer matrices given as (re, im) flat planes, im None when zero."""
+def _plane_matmul(x: tuple, y: tuple, m: int, k: int, n: int) -> tuple:
+    """(m x k)(k x n) product of Gaussian-integer matrices given as (re, im) flat planes, im None when zero."""
     (xr, xi), (yr, yi) = x, y
-    re = _int_matmul(xr, yr, n)
+    re = _int_matmul(xr, yr, m, k, n)
     if xi is not None and yi is not None:
-        re = [u - v for u, v in zip(re, _int_matmul(xi, yi, n))]
+        re = [u - v for u, v in zip(re, _int_matmul(xi, yi, m, k, n))]
     im = None
     for u, v in ((xr, yi), (xi, yr)):
         if u is not None and v is not None:
-            p = _int_matmul(u, v, n)
+            p = _int_matmul(u, v, m, k, n)
             im = p if im is None else [s + t for s, t in zip(im, p)]
     return re, im
 
@@ -560,7 +633,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     coeffs: list = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     for k in range(1, n + 1):
-        b = _plane_matmul(scaled, b, n)  # N B_k, then + c I: B_{k+1}
+        b = _plane_matmul(scaled, b, n, n, n)  # N B_k, then + c I: B_{k+1}
         c_re, c_im = (0 if p is None else _exact_quotient(-sum(p[t] for t in diagonal), k) for p in b)
         for p, c in zip(b, (c_re, c_im)):
             if p is not None:

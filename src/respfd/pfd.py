@@ -13,8 +13,9 @@ and are cross-checked against each other (the test suite, `respfd verify`):
                        adjugate's numerator planes, then one truncated series
                        division on whole matrices,
   pfd_undetermined  -- undetermined matrix coefficients: evaluate the
-                       polynomial identity at n rational sample points and
-                       solve the resulting exact linear system.
+                       polynomial identity at n rational sample points as
+                       integer rows and solve the resulting exact linear
+                       system by fraction-free elimination.
 
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
@@ -38,7 +39,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalAtPole, SelfCheckFailed, SingularSeriesDivision
-from .linalg import Matrix, PolyMatrix, combine_integral, from_integral, rank, solve_many, to_integral
+from .linalg import (
+    Matrix,
+    PolyMatrix,
+    combine_integral,
+    entries_to_integral,
+    from_integral,
+    linear_combination,
+    rank,
+    solve_integral,
+    to_integral,
+)
 from .polynomials import FactoredCharPoly, Poly
 from .scalars import GaussianRational, Scalar, as_fraction, scalar_im, scalar_key, scalar_re
 
@@ -205,8 +216,14 @@ def sample_points(count: int, eigenvalues, n: int) -> list:
     return taken
 
 
-def _linear_basis(charpoly: Poly, factored: FactoredCharPoly) -> list:
-    """charpoly/(s - lambda_i)^j for each eigenvalue lambda_i and j = 1..r_i, in that order."""
+def _basis(factored: FactoredCharPoly) -> list:
+    """The basis polynomials of the undetermined-coefficient identity, in solve order.
+
+    charpoly/(s - lambda_i)^j for each eigenvalue lambda_i and j = 1..r_i,
+    then (s+a) charpoly/quad and charpoly/quad for each quadratic factor
+    (s+a)^2 + d (real mode).
+    """
+    charpoly = factored.expand()
     basis = []
     for eigenvalue, mult in factored.linear:
         partial = charpoly
@@ -215,6 +232,11 @@ def _linear_basis(charpoly: Poly, factored: FactoredCharPoly) -> list:
             if not rem.is_zero:
                 raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
             basis.append(partial)
+    for a, d in factored.quadratic:
+        cofactor, rem = divmod(charpoly, Poly((a * a + d, 2 * a, Fraction(1))))
+        if not rem.is_zero:
+            raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
+        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
     return basis
 
 
@@ -223,14 +245,25 @@ def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_
 
     Evaluating the identity at one rational non-eigenvalue point per unknown
     gives one exact linear system shared by every matrix entry; the n^2
-    right-hand sides are the entries of adj(s0 I - A).
+    right-hand sides are the entries of adj(s0 I - A).  The row of s0 = u/v
+    (basis values, then adjugate entries) is one combine_integral of the s^k
+    coefficient planes with weights u^k v^(deg-k) over v^deg, and
+    solve_integral eliminates those integer rows as they are.
     """
     n = adjugate.size
     points = sample_points(len(basis_polys), [root for root, _ in factored.linear], n)
-    system = Matrix.from_rows([[poly.eval(s0) for poly in basis_polys] for s0 in points])
-    values = [adjugate.eval_at(s0) for s0 in points]
-    solution = solve_many(system, [[value[i, j] for value in values] for i in range(n) for j in range(n)])
-    return [Matrix(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n))) for row in solution]
+    degree = max(adjugate.degree, *(poly.degree for poly in basis_polys))
+    # the s^k coefficients of every basis polynomial, then of every adjugate entry
+    coefficients = [
+        entries_to_integral([p.coeff(k) for p in basis_polys] + [x for row in adjugate.coeff(k).rows for x in row])
+        for k in range(degree + 1)
+    ]
+    rows = [
+        combine_integral([((u**k * v ** (degree - k), 0), v**degree, c) for k, c in enumerate(coefficients)])
+        for u, v in (s0.as_integer_ratio() for s0 in points)
+    ]
+    solution, den = solve_integral(rows, len(basis_polys))
+    return [from_integral(*planes, den, n) for planes in solution]
 
 
 def pfd_undetermined(
@@ -244,7 +277,7 @@ def pfd_undetermined(
     """
     if factored.mode != "complex":
         raise ValueError("pfd_undetermined requires a complex-mode factorization")
-    solved = iter(_solve_undetermined(factored, adjugate, _linear_basis(factored.expand(), factored)))
+    solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
     terms = [
         EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(next(solved).demoted() for _ in range(mult)))
         for eigenvalue, mult in factored.linear
@@ -263,14 +296,7 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
     """
     if factored.mode != "real":
         raise ValueError("pfd_real requires a real-mode factorization")
-    charpoly = factored.expand()
-    basis = _linear_basis(charpoly, factored)
-    for a, d in factored.quadratic:
-        cofactor, rem = divmod(charpoly, Poly((a * a + d, 2 * a, Fraction(1))))
-        if not rem.is_zero:
-            raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
-        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
-    solved = iter(_solve_undetermined(factored, adjugate, basis))
+    solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
     linear = tuple(
         EigenvalueTerm(eigenvalue, mult, tuple(next(solved) for _ in range(mult)))
         for eigenvalue, mult in factored.linear
@@ -285,7 +311,7 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
     Raises EvalAtPole when s0 is an eigenvalue (or, real mode, a root of a
     quadratic factor, which cannot happen for real rational s0).
     """
-    acc = Matrix.zeros(pfd.size, pfd.size)
+    weights, matrices = [], []
     for term in pfd.linear:
         delta = s0 - term.eigenvalue
         if not delta:
@@ -293,15 +319,17 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
         inv = 1 / delta
         power = inv
         for j in range(1, term.multiplicity + 1):
-            acc = acc + term.coefficient(j) * power
+            weights.append(power)
+            matrices.append(term.coefficient(j))
             power = power * inv
     for quad in pfd.quadratic:
         shifted = s0 + quad.a
         denom = shifted * shifted + quad.d
         if not denom:
             raise EvalAtPole(f"{s0} is a root of a quadratic factor")
-        acc = acc + (quad.p_matrix * shifted + quad.q_matrix) * (1 / denom)
-    return acc
+        weights += [shifted / denom, 1 / denom]
+        matrices += [quad.p_matrix, quad.q_matrix]
+    return linear_combination(weights, matrices)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,18 @@
 """Fraction-arithmetic reference implementations (test-only oracles).
 
-The package computes the adjugate and the residue decomposition on integer
-planes.  These are the straightforward Fraction versions it replaced, kept
-here so the tests can demand bit-for-bit equal results:
+The package computes products, elimination, the adjugate and both
+decomposition algorithms on integer planes.  These are the straightforward
+Fraction versions it replaced, kept here so the tests can demand bit-for-bit
+equal results:
 
+  matmul, mat_vec       -- one Fraction per product (_dot),
+  polymatrix_matmul     -- coefficient products summed as Fraction matrices,
+  det, rank, nullspace,
+  solve_many, inverse   -- Bareiss on Fraction rows (_echelon) and Fraction
+                           back-substitution,
+  eval_at               -- entrywise Horner evaluation of a PolyMatrix,
+  solve_undetermined    -- the sample-point solve through eval_at and solve_many,
+  reconstruct_resolvent -- the decomposition summed at s0 as Fraction matrices,
   taylor_shift          -- p(s + c) by repeated synthetic division,
   series_div            -- truncated power-series quotient,
   faddeev_leverrier     -- the Faddeev-LeVerrier sweep on exact scalars,
@@ -12,13 +21,203 @@ here so the tests can demand bit-for-bit equal results:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from respfd.errors import DimensionMismatch, MatrixTooLarge, SingularSeriesDivision
-from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix
-from respfd.pfd import EigenvalueTerm, ResolventPFD
+from respfd.errors import (
+    DimensionMismatch,
+    EvalAtPole,
+    InconsistentSystem,
+    MatrixTooLarge,
+    SingularSeriesDivision,
+)
+from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix, normalize_vector
+from respfd.pfd import EigenvalueTerm, ResolventPFD, sample_points
 from respfd.polynomials import FactoredCharPoly, Poly
-from respfd.scalars import GaussianRational, scalar_key
+from respfd.scalars import GaussianRational, as_fraction, scalar_key
+
+
+def _dot(u, v):
+    acc = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def matmul(x: Matrix, y: Matrix) -> Matrix:
+    if x.ncols != y.nrows:
+        raise DimensionMismatch(f"cannot multiply {x.nrows}x{x.ncols} by {y.nrows}x{y.ncols}")
+    cols = tuple(y.column(j) for j in range(y.ncols))
+    return Matrix(tuple(tuple(_dot(row, col) for col in cols) for row in x.rows))
+
+
+def mat_vec(m: Matrix, v) -> tuple:
+    return tuple(_dot(row, v) for row in m.rows)
+
+
+def polymatrix_matmul(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
+    if not x.coeff_matrices or not y.coeff_matrices:
+        return PolyMatrix(x.size, ())
+    out = [Matrix.zeros(x.size, x.size)] * (x.degree + y.degree + 1)
+    for i, a in enumerate(x.coeff_matrices):
+        for j, b in enumerate(y.coeff_matrices):
+            out[i + j] = out[i + j] + matmul(a, b)
+    return PolyMatrix(x.size, tuple(out))
+
+
+def eval_at(p: PolyMatrix, s0) -> Matrix:
+    """Entrywise Horner evaluation; an entry that is still zero takes no product."""
+    out = Matrix.zeros(p.size, p.size).rows
+    for c in reversed(p.coeff_matrices):
+        out = tuple(tuple(x * s0 + y if x else y for x, y in zip(r, rc)) for r, rc in zip(out, c.rows))
+    return Matrix(out)
+
+
+def _row_to_integral(row) -> list:
+    """Scale a row of Fractions/Gaussians to integral entries (growth control)."""
+    common = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            d = x.denominator
+        else:
+            d = math.lcm(x.re.denominator, x.im.denominator)
+        common = common * d // math.gcd(common, d)
+    if common == 1:
+        return list(row)
+    return [x * common for x in row]
+
+
+def _echelon(rows: list, ncols_main: int) -> tuple:
+    """Bareiss forward elimination on Fraction rows: (rows, pivot columns, permutation sign)."""
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    sign = 1
+    prev = Fraction(1)
+    r = 0
+    for c in range(ncols_main):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            head = rows[i][c]
+            for j in range(c + 1, width):
+                rows[i][j] = (pivot * rows[i][j] - head * rows[r][j]) / prev
+            rows[i][c] = Fraction(0)
+        prev = pivot
+        pivots.append(c)
+        r += 1
+    return rows, pivots, sign
+
+
+def det(m: Matrix):
+    n = m.nrows
+    if n == 0:
+        return Fraction(1)
+    scale = Fraction(1)
+    rows = []
+    for row in m.rows:
+        scaled = _row_to_integral(row)
+        nonzero = next((a for a in row if a), None)
+        if nonzero is not None:
+            scale = scale * as_fraction(scaled[row.index(nonzero)] / nonzero)
+        rows.append(scaled)
+    rows, pivots, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return sign * rows[n - 1][n - 1] / scale
+
+
+def rank(m: Matrix) -> int:
+    rows = [_row_to_integral(row) for row in m.rows]
+    if not rows:
+        return 0
+    return len(_echelon(rows, m.ncols)[1])
+
+
+def nullspace(m: Matrix) -> list:
+    ncols = m.ncols
+    rows, pivots, _ = _echelon([_row_to_integral(row) for row in m.rows], ncols)
+    basis = []
+    for free in [c for c in range(ncols) if c not in set(pivots)]:
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            acc = Fraction(0)
+            for j in range(c + 1, ncols):
+                if rows[k][j] and vec[j]:
+                    acc = acc + rows[k][j] * vec[j]
+            vec[c] = -acc / rows[k][c]
+        basis.append(normalize_vector(tuple(vec)))
+    return basis
+
+
+def solve_many(m: Matrix, rhs_columns) -> list:
+    nrows, ncols = m.nrows, m.ncols
+    k = len(rhs_columns)
+    aug = [_row_to_integral(list(m.rows[i]) + [col[i] for col in rhs_columns]) for i in range(nrows)]
+    aug, pivots, _ = _echelon(aug, ncols)
+    for i in range(len(pivots), nrows):
+        if any(aug[i][ncols + t] for t in range(k)):
+            raise InconsistentSystem("no solution for the given right-hand side")
+    out = [[Fraction(0)] * k for _ in range(ncols)]
+    for t in range(k):
+        for idx in range(len(pivots) - 1, -1, -1):
+            c = pivots[idx]
+            row = aug[idx]
+            acc = row[ncols + t]
+            for j in range(c + 1, ncols):
+                if row[j] and out[j][t]:
+                    acc = acc - row[j] * out[j][t]
+            out[c][t] = acc / row[c]
+    return out
+
+
+def inverse(m: Matrix) -> Matrix:
+    n = m.nrows
+    if rank(m) < n:
+        raise InconsistentSystem("matrix is singular")
+    eye = Matrix.identity(n)
+    sol = solve_many(m, [list(eye.column(j)) for j in range(n)])
+    return Matrix(tuple(tuple(sol[i][j] for j in range(n)) for i in range(n)))
+
+
+def solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_polys: list) -> list:
+    """The matrices X_k of adj(sI-A) = sum_k X_k basis_polys[k](s), from eval_at and solve_many."""
+    n = adjugate.size
+    points = sample_points(len(basis_polys), [root for root, _ in factored.linear], n)
+    system = Matrix.from_rows([[poly.eval(s0) for poly in basis_polys] for s0 in points])
+    values = [eval_at(adjugate, s0) for s0 in points]
+    solution = solve_many(system, [[value[i, j] for value in values] for i in range(n) for j in range(n)])
+    return [Matrix(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n))) for row in solution]
+
+
+def reconstruct_resolvent(pfd, s0) -> Matrix:
+    acc = Matrix.zeros(pfd.size, pfd.size)
+    for term in pfd.linear:
+        delta = s0 - term.eigenvalue
+        if not delta:
+            raise EvalAtPole(f"{s0} is an eigenvalue of the matrix")
+        inv = 1 / delta
+        power = inv
+        for j in range(1, term.multiplicity + 1):
+            acc = acc + term.coefficient(j) * power
+            power = power * inv
+    for quad in pfd.quadratic:
+        shifted = s0 + quad.a
+        denom = shifted * shifted + quad.d
+        if not denom:
+            raise EvalAtPole(f"{s0} is a root of a quadratic factor")
+        acc = acc + (quad.p_matrix * shifted + quad.q_matrix) * (1 / denom)
+    return acc
 
 
 def taylor_shift(p: Poly, c) -> Poly:
@@ -77,7 +276,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     b = Matrix.identity(n)
     adj_coeffs = [b]  # B_k for s^{n-k}, collected high power first
     for k in range(1, n + 1):
-        ab = a @ b
+        ab = matmul(a, b)
         trace = Fraction(0)
         for i in range(n):
             trace = trace + ab[i, i]
