@@ -60,14 +60,13 @@ def extract_column_chains(pfd: ResolventPFD, eigenvalue_index: int) -> list[Chai
     n = pfd.size
     chains = []
     for m in range(n):
-        columns = [term.coefficient(j).column(m) for j in range(1, term.multiplicity + 1)]
+        # the chain ends at the last B_j whose m-th column is nonzero, read off the integer planes
         length = 0
-        for j, col in enumerate(columns, start=1):
-            if not vec_is_zero(col):
+        for j, b in enumerate(term.coefficients, start=1):
+            if any(b.re[m::n]) or (b.im is not None and any(b.im[m::n])):
                 length = j
-        if length == 0:
-            continue
-        chains.append(Chain(term.eigenvalue, tuple(columns[:length]), m))
+        if length:
+            chains.append(Chain(term.eigenvalue, tuple(b.column(m) for b in term.coefficients[:length]), m))
     return chains
 
 

@@ -268,7 +268,7 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
 
     cf = exp_from_pfd(pfd)
     checks.append(
-        CheckResult("exp_at_zero", cf.value_at_zero().demoted() == eye, "closed form equals I at t = 0")
+        CheckResult("exp_at_zero", cf.value_at_zero() == eye, "closed form equals I at t = 0")
     )
     checks.append(
         CheckResult(

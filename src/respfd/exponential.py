@@ -26,9 +26,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, faddeev_leverrier, mat_vec, vec_is_zero
+from .linalg import Matrix, faddeev_leverrier, mat_vec, to_integral, vec_is_zero
 from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
 from .scalars import (
@@ -116,6 +117,15 @@ class ClosedFormExp:
                 acc = acc + coeff
         return acc
 
+    @cached_property
+    def float_coefficients(self) -> tuple:
+        """Per term, (flat row-major index, float or complex value) for each nonzero entry of its coefficient."""
+        out = []
+        for _, coeff in self.terms:
+            values, im = _float_entries(coeff), coeff.im or (0,) * len(coeff.re)
+            out.append(tuple((k, values[k]) for k, (x, y) in enumerate(zip(coeff.re, im)) if x or y))
+        return tuple(out)
+
     def apply_to(self, v) -> list:
         """Pair each basis function with its coefficient applied to v."""
         out = []
@@ -134,7 +144,7 @@ def _collect(matrix: Matrix, raw_terms) -> ClosedFormExp:
         else:
             acc[basis] = coeff
     terms = tuple(
-        (basis, acc[basis].demoted())
+        (basis, acc[basis])
         for basis in sorted(acc, key=BasisFunction.sort_key)
         if not acc[basis].is_zero
     )
@@ -196,6 +206,14 @@ def _to_float(x):
     return float(x)
 
 
+def _float_entries(m: Matrix) -> list:
+    """m's entries, row-major, as floats (complex with an im plane); x / d rounds like float(Fraction(x, d))."""
+    re, im, d = to_integral(m)
+    if im is None:
+        return [x / d for x in re]
+    return [complex(x / d, y / d) for x, y in zip(re, im)]
+
+
 def exp_eval(cf: ClosedFormExp, t: float) -> list[list[float]]:
     """Numeric value of the closed form at time t.
 
@@ -203,17 +221,13 @@ def exp_eval(cf: ClosedFormExp, t: float) -> list[list[float]]:
     input matrices, so the real parts are returned.
     """
     n = cf.size
-    acc = [[0j] * n for _ in range(n)]
-    for basis, coeff in cf.terms:
+    acc = [0j] * (n * n)
+    for (basis, _), entries in zip(cf.terms, cf.float_coefficients):
         w = basis.value_at(t)
-        for i in range(n):
-            row = coeff.rows[i]
-            for j in range(n):
-                if row[j]:
-                    acc[i][j] += _to_float(row[j]) * w
-    if cf.matrix.is_rational_matrix():
-        return [[z.real for z in row] for row in acc]
-    return acc
+        for k, x in entries:
+            acc[k] += x * w
+    rows = [acc[i * n : (i + 1) * n] for i in range(n)]
+    return [[z.real for z in row] for row in rows] if cf.matrix.is_rational_matrix() else rows
 
 
 def _float_mat_mul(x, y):
@@ -232,7 +246,8 @@ def numeric_oracle_exp(a: Matrix, t: float) -> list[list[float]]:
     series until the relative tail drops below 1e-16, then squares m times.
     """
     n = a.nrows
-    work = [[_to_float(x) * t for x in row] for row in a.rows]
+    entries = _float_entries(a)
+    work = [[x * t for x in entries[i * n : (i + 1) * n]] for i in range(n)]
     norm = max((sum(abs(v) for v in row) for row in work), default=0.0)
     m = 0
     while norm > 0.5:

@@ -1,31 +1,27 @@
 """Exact dense matrix arithmetic and fraction-free elimination.
 
-Matrices are immutable, stored row-major as nested tuples of exact scalars
-(Fraction or GaussianRational).  Vectors are plain tuples.
+A Matrix stores its entries, all in Q or Q(i), as canonical integer planes in
+the layout of FLINT's fmpq_mat: re, flat row-major Python-int numerators; im,
+the imaginary numerators, present only when some entry is non-real; one
+positive denominator d with gcd(d, re, im) = 1.  Equal matrices have equal
+planes, and every operation runs on Python ints:
 
-The integer kernel: to_integral splits a matrix into integer numerator
-planes (real, plus imaginary when some entry is non-real) over one positive
-denominator, the layout of FLINT's fmpq_mat; from_integral maps back, and
-combine_integral forms Gaussian-integer linear combinations of such planes.
-The exact hot paths run on those Python-int planes and build Fractions only
-at the boundary:
+  arithmetic    +, -, negation and scalar * (a Q or Q(i) scalar) are one
+                combine_integral; ==, hash and is_zero compare the planes.
+  products      Matrix @ and mat_vec are one integer product over d_x d_y;
+                PolyMatrix @ sums each output coefficient in one accumulator.
+  elimination   det, rank, nullspace, solve_many and inverse divide each row
+                slice of the planes by its content and run Bareiss'
+                fraction-free elimination over Z or Z[i], every division a
+                checked exact quotient; back-substitution is fraction-free
+                too (y = D x, D the last pivot).
+  adjugate      faddeev_leverrier yields the characteristic polynomial and
+                adj(sI - A) in one O(n^4) sweep, self-checked by A B_n + c_0 I = 0.
 
-  products      Matrix @ is one integer product of the two operands' planes
-                over d_x d_y; PolyMatrix @ sums the plane products of each
-                output coefficient in one integer accumulator.
-  elimination   det, rank, nullspace, solve_many, inverse and solve_integral
-                scale each row once by its own denominator and run Bareiss'
-                fraction-free elimination over Z or Z[i]: entries stay minors
-                of the input, and every division is a checked exact quotient.
-                Back-substitution is fraction-free too (y = D x, D the last
-                pivot), so a solution entry costs one Fraction.
-  adjugate      faddeev_leverrier produces the characteristic polynomial and
-                the full adjugate polynomial adj(sI - A) in a single O(n^4)
-                sweep with the built-in self-check A*B_n + c_0*I = 0.
-
-Matrix + and scalar * stay on Fraction entries.  They, @ and
-linear_combination also accept entries outside Q(i) (such as quadratic
-surds), which have no integer planes and take plain field arithmetic.
+Fraction and GaussianRational entries exist only at the boundary: a Matrix is
+built from rows of them, and rows (built on first use, then kept), m[i, j],
+row and column return them.  An entry outside Q(i) raises TypeError.
+Vectors are plain tuples of scalars.
 """
 
 from __future__ import annotations
@@ -34,54 +30,59 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge, SelfCheckFailed
 from .polynomials import Poly
-from .scalars import GaussianRational, Scalar, as_fraction, is_rational
+from .scalars import GaussianRational, Scalar
 
 # Exact adjugate/pfd cost grows fast with n; refuse clearly past this size.
 SIZE_LIMIT = 12
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix; entries row-major as a tuple of row tuples."""
+    """Immutable exact matrix over Q or Q(i), stored as canonical integer planes (re, im, d)."""
 
-    rows: tuple
+    __slots__ = ("nrows", "ncols", "re", "im", "d", "_rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in row) for row in self.rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise DimensionMismatch("rows of differing length")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence]):
+        rows = tuple(tuple(row) for row in rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise DimensionMismatch("rows of differing length")
+        re, im, d = entries_to_integral([x for row in rows for x in row])
+        self._set(len(rows), ncols, re, im, d)
+
+    def _set(self, nrows: int, ncols: int, re: Sequence, im: Sequence | None, d: int) -> None:
+        planes = (tuple(re), None if im is None else tuple(im))
+        for name, value in zip(self.__slots__, (nrows, ncols, *planes, d, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return from_integral, (self.re, self.im, self.d, self.nrows, self.ncols)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix(tuple(tuple(row) for row in rows))
+        return Matrix(rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return from_integral([int(i == j) for i in range(n) for j in range(n)], None, 1, n, n)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows)))
+        return from_integral([0] * (nrows * ncols), None, 1, nrows, ncols)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple:
+        """The entries as row tuples of Fractions, or of GaussianRationals when some entry is non-real."""
+        if self._rows is None:
+            entries, n = _scalars(self.re, self.im, self.d), self.ncols
+            object.__setattr__(self, "_rows", tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(self.nrows)))
+        return self._rows
 
     @property
     def is_square(self) -> bool:
@@ -95,54 +96,46 @@ class Matrix:
         return self.rows[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        return tuple(map(operator.itemgetter(j), self.rows))
+
+    def _key(self) -> tuple:
+        return self.nrows, self.ncols, self.d, self.re, self.im
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Matrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch(
-                f"cannot add {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
-            )
-        return Matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return linear_combination((-1,), (self,))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return NotImplemented  # use @ for matrix products
-        return Matrix(tuple(tuple(x * other for x in row) for row in self.rows))
-
-    def __rmul__(self, other):
+        """Scalar product with a Q or Q(i) scalar; use @ for matrix products."""
         if isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(tuple(tuple(other * x for x in row) for row in self.rows))
+        return linear_combination((other,), (self,))
+
+    __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """One integer product of the operands' planes (see to_integral), over d_x d_y."""
+        """One integer product of the operands' planes, over d_x d_y."""
         if self.ncols != other.nrows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        if not (self.nrows and other.ncols):
-            return Matrix.zeros(self.nrows, other.ncols)
-        try:
-            (xr, xi, dx), (yr, yi, dy) = to_integral(self), to_integral(other)
-        except TypeError:  # an entry outside Q(i), such as a quadratic surd: field arithmetic
-            cols = [other.column(j) for j in range(other.ncols)]
-            return Matrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows))
-        product = _plane_matmul((xr, xi), (yr, yi), self.nrows, self.ncols, other.ncols)
-        return from_integral(*product, dx * dy, other.ncols)
+            raise DimensionMismatch(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        product = _plane_matmul((self.re, self.im), (other.re, other.im), self.nrows, self.ncols, other.ncols)
+        return from_integral(*product, self.d * other.d, self.nrows, other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols)))
+        return Matrix(zip(*self.rows))
 
     @property
     def T(self) -> "Matrix":
@@ -150,19 +143,10 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return self.im is None and not any(self.re)
 
     def is_rational_matrix(self) -> bool:
-        return all(is_rational(x) for row in self.rows for x in row)
-
-    def demoted(self) -> "Matrix":
-        """Convert to plain Fraction entries when no entry has imaginary part."""
-        if self.is_rational_matrix():
-            return Matrix(tuple(tuple(as_fraction(x) for x in row) for row in self.rows))
-        return self
-
-    def map(self, fn: Callable[[Scalar], Scalar]) -> "Matrix":
-        return Matrix(tuple(tuple(fn(x) for x in row) for row in self.rows))
+        return self.im is None
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
@@ -171,8 +155,8 @@ class Matrix:
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
     if m.ncols != len(v):
         raise DimensionMismatch(f"cannot apply {m.nrows}x{m.ncols} to length-{len(v)} vector")
-    (xr, xi, dx), (yr, yi, dy) = to_integral(m), entries_to_integral(v)
-    return tuple(_scalars(*_plane_matmul((xr, xi), (yr, yi), m.nrows, m.ncols, 1), dx * dy))
+    yr, yi, dy = entries_to_integral(v)
+    return tuple(_scalars(*_plane_matmul((m.re, m.im), (yr, yi), m.nrows, m.ncols, 1), m.d * dy))
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -246,12 +230,30 @@ def _exact_division(values: list, k: int) -> list:
     return [x // k for x in values]
 
 
-def _system(row_planes: list) -> tuple[list, list | None]:
-    """Integer rows (re, im or None for a real system) from per-row planes (re, im | None, d)."""
-    re = [p[0] for p in row_planes]
-    if all(p[1] is None for p in row_planes):
-        return re, None
-    return re, [p[1] if p[1] is not None else [0] * len(p[0]) for p in row_planes]
+def _system(row_planes: list) -> tuple[list, list | None, int]:
+    """Fresh integer rows (re, im or None for a real system) from per-row planes (re, im | None, ...).
+
+    Each row is divided by its content; also returns the product of those contents.
+    """
+    gaussian = any(p[1] is not None for p in row_planes)
+    rows, scale = [], 1
+    for p in row_planes:
+        planes = (p[0], p[1] or [0] * len(p[0])) if gaussian else (p[0],)
+        content = math.gcd(*planes[0], *(planes[1] if gaussian else ())) or 1
+        scale *= content
+        rows.append([[x // content for x in plane] for plane in planes])
+    return [r[0] for r in rows], [r[1] for r in rows] if gaussian else None, scale
+
+
+def _row_planes(m: Matrix) -> list:
+    """The rows of m as (re, im | None, d) slices of its planes."""
+    c, im = m.ncols, m.im
+    return [(m.re[i * c : (i + 1) * c], im and im[i * c : (i + 1) * c], m.d) for i in range(m.nrows)]
+
+
+def _augmented(m: Matrix, r: Matrix) -> list:
+    """Per-row planes of [m | r]."""
+    return [join_integral(x, y) for x, y in zip(_row_planes(m), _row_planes(r))]
 
 
 def _back_substitute(re: list, im: list | None, pivots: list, ncols: int, rhs_cols: Sequence) -> tuple[list, int]:
@@ -291,25 +293,22 @@ def _back_substitute(re: list, im: list | None, pivots: list, ncols: int, rhs_co
 
 
 def det(m: Matrix) -> Scalar:
-    """Exact determinant by fraction-free elimination; each row is scaled by its own denominator."""
+    """Exact determinant by fraction-free elimination: det(m) = det(N) / d^n for the integer plane N = d m."""
     if not m.is_square:
         raise DimensionMismatch("determinant requires a square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    row_planes = [entries_to_integral(row) for row in m.rows]
-    re, im = _system(row_planes)
+    re, im, scale = _system(_row_planes(m))
     pivots, sign = _echelon(re, im, n)
     if len(pivots) < n:
         return Fraction(0)
-    value_im = None if im is None else [sign * im[-1][-1]]
-    return _scalars([sign * re[-1][-1]], value_im, math.prod(p[2] for p in row_planes))[0]
+    value_im = None if im is None else [sign * scale * im[-1][-1]]
+    return _scalars([sign * scale * re[-1][-1]], value_im, m.d**n)[0]
 
 
 def rank(m: Matrix) -> int:
-    if not m.rows:
-        return 0
-    re, im = _system([entries_to_integral(row) for row in m.rows])
+    re, im, _ = _system(_row_planes(m))
     return len(_echelon(re, im, m.ncols)[0])
 
 
@@ -320,7 +319,7 @@ def nullspace(m: Matrix) -> list[tuple]:
     nonzero entry made positive (deterministic output).
     """
     ncols = m.ncols
-    re, im = _system([entries_to_integral(row) for row in m.rows])
+    re, im, _ = _system(_row_planes(m))
     pivots, _ = _echelon(re, im, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -339,10 +338,7 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 def solve(m: Matrix, rhs: Sequence) -> tuple:
     """One exact solution of m x = rhs, or InconsistentSystem."""
-    if len(rhs) != m.nrows:
-        raise DimensionMismatch("right-hand side length does not match row count")
-    solutions = solve_many(m, [list(rhs)])
-    return tuple(col[0] for col in solutions)
+    return tuple(col[0] for col in solve_many(m, [list(rhs)]))
 
 
 def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[list]:
@@ -351,21 +347,23 @@ def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[list]:
     rhs_columns is a sequence of columns; returns the solution rows (one list
     per variable, entries per column), free variables fixed at zero.
     """
-    rows = [entries_to_integral(tuple(row) + tuple(col[i] for col in rhs_columns)) for i, row in enumerate(m.rows)]
-    solution, den = solve_integral(rows, m.ncols)
+    if any(len(col) != m.nrows for col in rhs_columns):
+        raise DimensionMismatch("right-hand side length does not match row count")
+    solution, den = solve_integral(_augmented(m, Matrix(zip(*rhs_columns))), m.ncols)
     return [_scalars(*planes, den) for planes in solution]
 
 
 def solve_integral(row_planes: list, ncols: int) -> tuple[list, int]:
     """Solve M X = B given the integer planes of each augmented row [M | B].
 
-    row_planes holds one (re, im | None, d) per row, as from to_integral or
-    combine_integral; d is ignored, since scaling a row leaves X unchanged.
+    row_planes holds one (re, im | None, ...) per row, as from combine_integral
+    or join_integral; a denominator is ignored, since scaling a row leaves X
+    unchanged.
     Columns after ncols are right-hand sides.  Returns (one (re, im | None)
     plane pair per variable, den > 0) with X = planes / den, free variables
     fixed at zero; raises InconsistentSystem.
     """
-    re, im = _system(row_planes)
+    re, im, _ = _system(row_planes)
     pivots, _ = _echelon(re, im, ncols)
     for i in range(len(pivots), len(re)):
         if any(re[i][ncols:]) or (im is not None and any(im[i][ncols:])):
@@ -379,57 +377,31 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise DimensionMismatch("inverse requires a square matrix")
     n = m.nrows
-    augmented = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.rows)]
-    re, im = _system([entries_to_integral(row) for row in augmented])
+    re, im, _ = _system(_augmented(m, Matrix.identity(n)))
     pivots, _ = _echelon(re, im, n)
     if len(pivots) < n:
         raise InconsistentSystem("matrix is singular")
     solution, den = _back_substitute(re, im, pivots, n, range(n, 2 * n))
-    return Matrix(tuple(tuple(_scalars(*planes, den)) for planes in solution))
+    solved = [[x for planes in solution for x in planes[p] or ()] for p in (0, 1)]
+    return from_integral(*solved, den, n, n)
 
 
 def normalize_vector(v: Sequence) -> tuple:
     """Scale to integral entries, content 1, first nonzero entry positive.
 
     Gaussian entries use the same rule on (re, im) integer pairs, with
-    positivity judged by the real part first.
+    positivity judged by the real part first; a vector with a Gaussian entry
+    stays Gaussian.
     """
-    if vec_is_zero(v):
+    re, im, _ = entries_to_integral(v)
+    pairs = list(zip(re, im or [0] * len(re)))
+    lead = next((p for p in pairs if p != (0, 0)), None)
+    if lead is None:
         return tuple(Fraction(0) for _ in v)
-    common = 1
-    gaussian = False
-    for x in v:
-        if isinstance(x, GaussianRational):
-            gaussian = True
-            for part in (x.re, x.im):
-                common = common * part.denominator // math.gcd(common, part.denominator)
-        else:
-            f = as_fraction(x)
-            common = common * f.denominator // math.gcd(common, f.denominator)
-    scaled = [x * common for x in v]
-    content = 0
-    for x in scaled:
-        if isinstance(x, GaussianRational):
-            content = math.gcd(content, abs(int(x.re)))
-            content = math.gcd(content, abs(int(x.im)))
-        else:
-            content = math.gcd(content, abs(int(as_fraction(x))))
-    if content > 1:
-        scaled = [x / content for x in scaled]
-    lead = next(x for x in scaled if x)
-    if isinstance(lead, GaussianRational):
-        negative = lead.re < 0 or (lead.re == 0 and lead.im < 0)
-    else:
-        negative = as_fraction(lead) < 0
-    if negative:
-        scaled = [-x for x in scaled]
-    out = []
-    for x in scaled:
-        if gaussian:
-            out.append(x if isinstance(x, GaussianRational) else GaussianRational(as_fraction(x)))
-        else:
-            out.append(as_fraction(x))
-    return tuple(out)
+    scale = math.gcd(*re, *(im or ())) * (-1 if lead < (0, 0) else 1)
+    if any(isinstance(x, GaussianRational) for x in v):
+        return tuple(GaussianRational(x // scale, y // scale) for x, y in pairs)
+    return tuple(Fraction(x // scale) for x in re)
 
 
 @dataclass(frozen=True)
@@ -457,12 +429,6 @@ class PolyMatrix:
     def entry_poly(self, i: int, j: int) -> Poly:
         return Poly(tuple(c[i, j] for c in self.coeff_matrices))
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        top = max(len(self.coeff_matrices), len(other.coeff_matrices))
-        return PolyMatrix(
-            self.size, tuple(self.coeff(k) + other.coeff(k) for k in range(top))
-        )
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix-polynomial product; each output coefficient sums its plane products in one integer accumulator."""
         n = self.size
@@ -476,7 +442,7 @@ class PolyMatrix:
                 ((1, 0), 1, (*_plane_matmul(xs[i][:2], ys[k - i][:2], n, n, n), xs[i][2] * ys[k - i][2]))
                 for i in range(max(0, k - len(ys) + 1), min(k, len(xs) - 1) + 1)
             ]
-            out.append(from_integral(*combine_integral(products), n))
+            out.append(from_integral(*combine_integral(products), n, n))
         return PolyMatrix(n, tuple(out))
 
     @property
@@ -490,20 +456,19 @@ def s_identity_minus(a: Matrix) -> PolyMatrix:
     return PolyMatrix(n, (-a, Matrix.identity(n)))
 
 
-_QI_TYPES = {Fraction, GaussianRational, int}
+_QI_TYPES = {Fraction, GaussianRational, int, bool}
 
 
-def to_integral(m: Matrix) -> tuple[list, list | None, int]:
-    """Integer planes of m over one positive common denominator.
-
-    Returns (re, im, d) with m = (re + i*im) / d entrywise; re and im are flat
-    row-major lists of ints, and im is None when no entry has an imaginary part.
-    """
-    return entries_to_integral([x for row in m.rows for x in row])
+def to_integral(m: Matrix) -> tuple[tuple, tuple | None, int]:
+    """The canonical planes (re, im, d) of m: m = (re + i*im) / d entrywise, im None when m is real."""
+    return m.re, m.im, m.d
 
 
 def entries_to_integral(entries: Sequence) -> tuple[list, list | None, int]:
-    """to_integral of a flat sequence of scalars; TypeError for a scalar outside Q(i)."""
+    """Integer planes (re, im | None, d) of a flat sequence of scalars, d their lcm denominator.
+
+    Raises TypeError for a scalar outside Q(i).
+    """
     kinds = set(map(type, entries))
     if not kinds <= _QI_TYPES:
         raise TypeError("only rational and Gaussian rational entries have integer planes")
@@ -526,17 +491,38 @@ def _scalars(re: list, im: list | None, d: int) -> list:
     return [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
 
 
-def from_integral(re: list, im: list | None, d: int, ncols: int) -> Matrix:
-    """The exact matrix (re + i*im) / d from flat row-major integer planes (entries as in _scalars)."""
-    entries = _scalars(re, im, d)
-    return Matrix(tuple(tuple(entries[k : k + ncols]) for k in range(0, len(entries), ncols)))
+def _canonical(re: Sequence, im: Sequence | None, d: int) -> tuple:
+    """The canonical planes of (re + i*im) / d, d > 0: an all-zero im becomes None, gcd(d, re, im) is divided out."""
+    if im is not None and not any(im):
+        im = None
+    content = math.gcd(d, *re, *(im or ()))
+    if content > 1:
+        return [x // content for x in re], None if im is None else [x // content for x in im], d // content
+    return re, im, d
+
+
+def from_integral(re: Sequence, im: Sequence | None, d: int, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols matrix (re + i*im) / d from flat row-major integer planes, d > 0."""
+    m = Matrix.__new__(Matrix)
+    m._set(nrows, ncols, *_canonical(re, im, d))
+    return m
+
+
+def join_integral(x: tuple, y: tuple) -> tuple[list, list | None, int]:
+    """The entries of planes x = (re, im | None, d) followed by those of y, over one denominator."""
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    d = math.lcm(dx, dy)
+    sx, sy = d // dx, d // dy
+    re = [v * sx for v in xr] + [v * sy for v in yr]
+    if xi is None and yi is None:
+        return re, None, d
+    return re, [v * sx for v in xi or [0] * len(xr)] + [v * sy for v in yi or [0] * len(yr)], d
 
 
 def combine_integral(terms: list) -> tuple[list, list | None, int]:
-    """sum of g X / k over (g, k, X): g a Gaussian integer (re, im), k a positive int, X planes from to_integral.
+    """sum of g X / k over (g, k, X): g a Gaussian integer (re, im), k a positive int, X planes (re, im | None, d).
 
-    Returns the sum as integer planes over one positive denominator with the
-    common content removed, in the layout of to_integral.
+    Returns the sum as canonical planes, in the layout of to_integral.
     """
     den = math.lcm(*(k * x[2] for _, k, x in terms))
     size = len(terms[0][2][0])
@@ -553,27 +539,18 @@ def combine_integral(terms: list) -> tuple[list, list | None, int]:
                 out_re = [u - gi * v for u, v in zip(out_re, xi)]
             if gr:
                 out_im = [u + gr * v for u, v in zip(out_im, xi)]
-    content = math.gcd(den, *out_re, *out_im)
-    if content > 1:
-        den //= content
-        out_re = [x // content for x in out_re]
-        out_im = [x // content for x in out_im]
-    return out_re, out_im if any(out_im) else None, den
+    return _canonical(out_re, out_im, den)
 
 
 def linear_combination(weights: Sequence, matrices: Sequence) -> Matrix:
-    """sum_k weights[k] * matrices[k]: one combine_integral over the matrices' planes."""
-    try:
-        terms = []
-        for w, m in zip(weights, matrices):
-            (re,), im, d = entries_to_integral([w])
-            terms.append(((re, 0 if im is None else im[0]), d, to_integral(m)))
-    except TypeError:  # a weight outside Q(i), such as a quadratic surd: field arithmetic
-        acc = Matrix.zeros(matrices[0].nrows, matrices[0].ncols)
-        for w, m in zip(weights, matrices):
-            acc = acc + m * w
-        return acc
-    return from_integral(*combine_integral(terms), matrices[0].ncols)
+    """sum_k weights[k] * matrices[k] for Q or Q(i) weights: one combine_integral over the matrices' planes."""
+    first = matrices[0]
+    for m in matrices:
+        if (m.nrows, m.ncols) != (first.nrows, first.ncols):
+            raise DimensionMismatch(f"cannot add {first.nrows}x{first.ncols} and {m.nrows}x{m.ncols}")
+    re, im, d = entries_to_integral(weights)
+    terms = [((x, y), d, to_integral(m)) for x, y, m in zip(re, im or [0] * len(re), matrices)]
+    return from_integral(*combine_integral(terms), first.nrows, first.ncols)
 
 
 def _int_matmul(x: list, y: list, m: int, k: int, n: int) -> list:
@@ -629,7 +606,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     scaled = (re, im)
     diagonal = range(0, n * n, n + 1)
     b = ([int(k in diagonal) for k in range(n * n)], None)
-    adj_coeffs = [from_integral(*b, 1, n)]  # B_k for s^{n-k}, collected high power first
+    adj_coeffs = [from_integral(*b, 1, n, n)]  # B_k for s^{n-k}, collected high power first
     coeffs: list = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     for k in range(1, n + 1):
@@ -644,7 +621,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
             GaussianRational(Fraction(c_re, scale), Fraction(c_im, scale)) if c_im else Fraction(c_re, scale)
         )
         if k < n:
-            adj_coeffs.append(from_integral(*b, scale, n))
+            adj_coeffs.append(from_integral(*b, scale, n, n))
         elif any(b[0]) or (b[1] is not None and any(b[1])):
             raise SelfCheckFailed("charpoly", "faddeev_leverrier self-check A B_n + c_0 I = 0 failed")
     charpoly = Poly(tuple(coeffs))

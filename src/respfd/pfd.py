@@ -45,6 +45,7 @@ from .linalg import (
     combine_integral,
     entries_to_integral,
     from_integral,
+    join_integral,
     linear_combination,
     rank,
     solve_integral,
@@ -134,7 +135,7 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     terms = []
     for eigenvalue, mult in factored.linear:
         series = _residue_series(charpoly, h_den, numerators, eigenvalue, mult)
-        coefficients = tuple(from_integral(*series[mult - j], n) for j in range(1, mult + 1))
+        coefficients = tuple(from_integral(*series[mult - j], n, n) for j in range(1, mult + 1))
         terms.append(EigenvalueTerm(_demote_scalar(eigenvalue), mult, coefficients))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, tuple(terms))
@@ -255,7 +256,7 @@ def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_
     degree = max(adjugate.degree, *(poly.degree for poly in basis_polys))
     # the s^k coefficients of every basis polynomial, then of every adjugate entry
     coefficients = [
-        entries_to_integral([p.coeff(k) for p in basis_polys] + [x for row in adjugate.coeff(k).rows for x in row])
+        join_integral(entries_to_integral([p.coeff(k) for p in basis_polys]), to_integral(adjugate.coeff(k)))
         for k in range(degree + 1)
     ]
     rows = [
@@ -263,7 +264,7 @@ def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_
         for u, v in (s0.as_integer_ratio() for s0 in points)
     ]
     solution, den = solve_integral(rows, len(basis_polys))
-    return [from_integral(*planes, den, n) for planes in solution]
+    return [from_integral(*planes, den, n, n) for planes in solution]
 
 
 def pfd_undetermined(
@@ -279,7 +280,7 @@ def pfd_undetermined(
         raise ValueError("pfd_undetermined requires a complex-mode factorization")
     solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
     terms = [
-        EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(next(solved).demoted() for _ in range(mult)))
+        EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(next(solved) for _ in range(mult)))
         for eigenvalue, mult in factored.linear
     ]
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
@@ -467,7 +468,7 @@ def _reconstruction_checks(a: Matrix, pfd) -> list[CheckResult]:
     return [
         CheckResult(
             f"reconstruction[s={s0}]",
-            (reconstruct_resolvent(pfd, s0) @ (eye * s0 - a)).demoted() == eye,
+            (reconstruct_resolvent(pfd, s0) @ (eye * s0 - a)) == eye,
             "pfd(s0) (s0 I - A) = I",
         )
         for s0 in sample_points(3, [term.eigenvalue for term in pfd.linear], a.nrows)

@@ -3,16 +3,23 @@
 The package computes products, elimination, the adjugate and both
 decomposition algorithms on integer planes.  These are the straightforward
 Fraction versions it replaced, kept here so the tests can demand bit-for-bit
-equal results:
+equal results.  They read matrices only through `rows` and build a Matrix
+only for the result, so no Matrix operator (+, -, scalar *, @) is ever part
+of the oracle:
 
   matmul, mat_vec       -- one Fraction per product (_dot),
-  polymatrix_matmul     -- coefficient products summed as Fraction matrices,
+  add_rows, scale_rows,
+  matmul_rows           -- entrywise arithmetic on row tuples, for any field
+                           (quadratic surds included),
+  polymatrix_matmul     -- coefficient products summed entrywise,
   det, rank, nullspace,
   solve_many, inverse   -- Bareiss on Fraction rows (_echelon) and Fraction
-                           back-substitution,
+                           back-substitution; normalize_vector scales a
+                           nullspace vector with Fraction arithmetic,
   eval_at               -- entrywise Horner evaluation of a PolyMatrix,
   solve_undetermined    -- the sample-point solve through eval_at and solve_many,
-  reconstruct_resolvent -- the decomposition summed at s0 as Fraction matrices,
+  reconstruct_resolvent -- the decomposition summed entrywise at s0
+                           (resolvent_rows keeps the row tuples),
   taylor_shift          -- p(s + c) by repeated synthetic division,
   series_div            -- truncated power-series quotient,
   faddeev_leverrier     -- the Faddeev-LeVerrier sweep on exact scalars,
@@ -31,7 +38,7 @@ from respfd.errors import (
     MatrixTooLarge,
     SingularSeriesDivision,
 )
-from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix, normalize_vector
+from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix
 from respfd.pfd import EigenvalueTerm, ResolventPFD, sample_points
 from respfd.polynomials import FactoredCharPoly, Poly
 from respfd.scalars import GaussianRational, as_fraction, scalar_key
@@ -45,11 +52,29 @@ def _dot(u, v):
     return acc
 
 
+def add_rows(x: tuple, y: tuple) -> tuple:
+    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+
+
+def scale_rows(x: tuple, c) -> tuple:
+    return tuple(tuple(a * c for a in row) for row in x)
+
+
+def zero_rows(nrows: int, ncols: int) -> tuple:
+    return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
+
+
+def matmul_rows(x: tuple, y: tuple) -> tuple:
+    cols = tuple(zip(*y))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in x)
+
+
 def matmul(x: Matrix, y: Matrix) -> Matrix:
     if x.ncols != y.nrows:
         raise DimensionMismatch(f"cannot multiply {x.nrows}x{x.ncols} by {y.nrows}x{y.ncols}")
-    cols = tuple(y.column(j) for j in range(y.ncols))
-    return Matrix(tuple(tuple(_dot(row, col) for col in cols) for row in x.rows))
+    if not y.nrows:
+        return Matrix(zero_rows(x.nrows, y.ncols))
+    return Matrix(matmul_rows(x.rows, y.rows))
 
 
 def mat_vec(m: Matrix, v) -> tuple:
@@ -59,16 +84,16 @@ def mat_vec(m: Matrix, v) -> tuple:
 def polymatrix_matmul(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
     if not x.coeff_matrices or not y.coeff_matrices:
         return PolyMatrix(x.size, ())
-    out = [Matrix.zeros(x.size, x.size)] * (x.degree + y.degree + 1)
+    out = [zero_rows(x.size, x.size)] * (x.degree + y.degree + 1)
     for i, a in enumerate(x.coeff_matrices):
         for j, b in enumerate(y.coeff_matrices):
-            out[i + j] = out[i + j] + matmul(a, b)
-    return PolyMatrix(x.size, tuple(out))
+            out[i + j] = add_rows(out[i + j], matmul_rows(a.rows, b.rows))
+    return PolyMatrix(x.size, tuple(Matrix(rows) for rows in out))
 
 
 def eval_at(p: PolyMatrix, s0) -> Matrix:
     """Entrywise Horner evaluation; an entry that is still zero takes no product."""
-    out = Matrix.zeros(p.size, p.size).rows
+    out = zero_rows(p.size, p.size)
     for c in reversed(p.coeff_matrices):
         out = tuple(tuple(x * s0 + y if x else y for x, y in zip(r, rc)) for r, rc in zip(out, c.rows))
     return Matrix(out)
@@ -142,6 +167,50 @@ def rank(m: Matrix) -> int:
     return len(_echelon(rows, m.ncols)[1])
 
 
+def normalize_vector(v) -> tuple:
+    """Scale to integral entries, content 1, first nonzero entry positive.
+
+    Gaussian entries use the same rule on (re, im) integer pairs, with
+    positivity judged by the real part first.
+    """
+    if not any(v):
+        return tuple(Fraction(0) for _ in v)
+    common = 1
+    gaussian = False
+    for x in v:
+        if isinstance(x, GaussianRational):
+            gaussian = True
+            for part in (x.re, x.im):
+                common = common * part.denominator // math.gcd(common, part.denominator)
+        else:
+            f = as_fraction(x)
+            common = common * f.denominator // math.gcd(common, f.denominator)
+    scaled = [x * common for x in v]
+    content = 0
+    for x in scaled:
+        if isinstance(x, GaussianRational):
+            content = math.gcd(content, abs(int(x.re)))
+            content = math.gcd(content, abs(int(x.im)))
+        else:
+            content = math.gcd(content, abs(int(as_fraction(x))))
+    if content > 1:
+        scaled = [x / content for x in scaled]
+    lead = next(x for x in scaled if x)
+    if isinstance(lead, GaussianRational):
+        negative = lead.re < 0 or (lead.re == 0 and lead.im < 0)
+    else:
+        negative = as_fraction(lead) < 0
+    if negative:
+        scaled = [-x for x in scaled]
+    out = []
+    for x in scaled:
+        if gaussian:
+            out.append(x if isinstance(x, GaussianRational) else GaussianRational(as_fraction(x)))
+        else:
+            out.append(as_fraction(x))
+    return tuple(out)
+
+
 def nullspace(m: Matrix) -> list:
     ncols = m.ncols
     rows, pivots, _ = _echelon([_row_to_integral(row) for row in m.rows], ncols)
@@ -200,8 +269,9 @@ def solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_p
     return [Matrix(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n))) for row in solution]
 
 
-def reconstruct_resolvent(pfd, s0) -> Matrix:
-    acc = Matrix.zeros(pfd.size, pfd.size)
+def resolvent_rows(pfd, s0) -> tuple:
+    """The decomposition summed entrywise at s0, as row tuples; s0 may lie in any field extending Q(i)."""
+    acc = zero_rows(pfd.size, pfd.size)
     for term in pfd.linear:
         delta = s0 - term.eigenvalue
         if not delta:
@@ -209,15 +279,20 @@ def reconstruct_resolvent(pfd, s0) -> Matrix:
         inv = 1 / delta
         power = inv
         for j in range(1, term.multiplicity + 1):
-            acc = acc + term.coefficient(j) * power
+            acc = add_rows(acc, scale_rows(term.coefficient(j).rows, power))
             power = power * inv
     for quad in pfd.quadratic:
         shifted = s0 + quad.a
         denom = shifted * shifted + quad.d
         if not denom:
             raise EvalAtPole(f"{s0} is a root of a quadratic factor")
-        acc = acc + (quad.p_matrix * shifted + quad.q_matrix) * (1 / denom)
+        pair = add_rows(scale_rows(quad.p_matrix.rows, shifted), quad.q_matrix.rows)
+        acc = add_rows(acc, scale_rows(pair, 1 / denom))
     return acc
+
+
+def reconstruct_resolvent(pfd, s0) -> Matrix:
+    return Matrix(resolvent_rows(pfd, s0))
 
 
 def taylor_shift(p: Poly, c) -> Poly:
@@ -273,21 +348,22 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
         return Poly.constant(Fraction(1)), PolyMatrix(0, ())
     coeffs: list = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    b = Matrix.identity(n)
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    b = eye
     adj_coeffs = [b]  # B_k for s^{n-k}, collected high power first
     for k in range(1, n + 1):
-        ab = matmul(a, b)
+        ab = matmul_rows(a.rows, b)
         trace = Fraction(0)
         for i in range(n):
-            trace = trace + ab[i, i]
+            trace = trace + ab[i][i]
         c = -trace / k
         coeffs[n - k] = c
-        b = ab + Matrix.identity(n) * c
+        b = add_rows(ab, scale_rows(eye, c))
         if k < n:
             adj_coeffs.append(b)
-        elif not b.is_zero:
+        elif any(x for row in b for x in row):
             raise AssertionError("faddeev_leverrier self-check failed")
-    return Poly(tuple(coeffs)), PolyMatrix(n, tuple(reversed(adj_coeffs)))
+    return Poly(tuple(coeffs)), PolyMatrix(n, tuple(Matrix(rows) for rows in reversed(adj_coeffs)))
 
 
 def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> ResolventPFD:
@@ -313,7 +389,7 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
                 for m in range(mult):
                     entries[m][i][j] = series.coeff(m)
         coefficients = tuple(
-            Matrix(tuple(tuple(row) for row in entries[mult - j])).demoted() for j in range(1, mult + 1)
+            Matrix(tuple(tuple(row) for row in entries[mult - j])) for j in range(1, mult + 1)
         )
         if isinstance(eigenvalue, GaussianRational) and eigenvalue.im == 0:
             eigenvalue = eigenvalue.re

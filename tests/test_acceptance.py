@@ -234,7 +234,7 @@ def test_criterion_4_resolvent_reconstruction(random_suite, report):
                     s0 += 1
                     continue
                 lhs = reconstruct_resolvent(pfd, s0) @ (Matrix.identity(n) * s0 - a)
-                assert lhs.demoted() == Matrix.identity(n), f"matrix {index} at s0={s0}"
+                assert lhs == Matrix.identity(n), f"matrix {index} at s0={s0}"
                 checked += 1
                 s0 += 1
         return f"{len(random_suite)} matrices x 3 points, exact"

@@ -1,6 +1,7 @@
 """The integer kernel against the Fraction reference, bit for bit (derandomized).
 
-faddeev_leverrier, pfd_residue, Matrix / PolyMatrix products, Bareiss
+faddeev_leverrier, pfd_residue, Matrix arithmetic (+, -, scalar *, ==, the
+canonical planes behind rows), Matrix / PolyMatrix products, Bareiss
 elimination (det, rank, nullspace, solve_many, inverse) and the
 undetermined-coefficient solve run on integer planes; tests/reference.py
 holds the Fraction versions they replaced.  Planted matrices S J S^{-1}
@@ -14,6 +15,7 @@ rank-deficient matrices, row swaps and inconsistent systems.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from respfd.linalg import (
 )
 from respfd.pfd import _basis, _solve_undetermined, pfd_real, pfd_residue, reconstruct_resolvent, sample_points
 from respfd.polynomials import factor_charpoly
-from respfd.scalars import GaussianRational
+from respfd.scalars import GaussianRational, scalar_im
 from tests import reference
 from tests.conftest import block_diagonal, deadline, disguised
 
@@ -140,15 +142,58 @@ def _scalar(rng: random.Random, sparse: bool) -> Fraction:
     return Fraction(0)
 
 
-def _matrix(rng: random.Random, nrows: int, ncols: int, kind: str | None = None) -> Matrix:
+def _entries(rng: random.Random, nrows: int, ncols: int, kind: str | None = None) -> tuple:
+    """Row tuples, rational, Gaussian or mixed (each entry a Fraction or a GaussianRational, maybe real)."""
     kind = kind or rng.choice(["rational", "gaussian"])
     sparse = rng.random() < 0.5
 
     def entry():
         x = _scalar(rng, sparse)
-        return GaussianRational(x, _scalar(rng, sparse)) if kind == "gaussian" else x
+        if kind == "gaussian" or (kind == "mixed" and rng.random() < 0.5):
+            return GaussianRational(x, _scalar(rng, sparse))
+        return x
 
-    return Matrix(tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows)))
+    return tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows))
+
+
+def _matrix(rng: random.Random, nrows: int, ncols: int, kind: str | None = None) -> Matrix:
+    return Matrix(_entries(rng, nrows, ncols, kind))
+
+
+def _assert_planes(m: Matrix, expected: tuple) -> None:
+    """m holds the entries `expected` (reference row tuples) in canonical integer planes."""
+    assert (m.nrows, m.ncols) == (len(expected), len(expected[0]))
+    assert m.d > 0 and math.gcd(m.d, *m.re, *(m.im or ())) == 1
+    real = all(scalar_im(x) == 0 for row in expected for x in row)
+    assert (m.im is None) == real
+    assert m.rows == expected
+    assert all(type(x) is (Fraction if real else GaussianRational) for row in m.rows for x in row)
+    assert Matrix(m.rows) == m == Matrix(expected) and hash(Matrix(expected)) == hash(m)
+    assert m.is_zero == all(not x for row in expected for x in row)
+    assert m.is_rational_matrix() == real
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_plane_arithmetic_matches_entrywise_reference(rng):
+    """+, -, negation, scalar * (0, Q, Q(i)), ==, hash, is_zero and rows against Fraction arithmetic on entries."""
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    x_rows, y_rows = (_entries(rng, m, n, rng.choice(["rational", "gaussian", "mixed"])) for _ in range(2))
+    x, y = Matrix(x_rows), Matrix(y_rows)
+    scalars = [0, _scalar(rng, False), GaussianRational(_scalar(rng, False), Fraction(rng.randint(1, 9), 7))]
+    _assert_planes(x, x_rows)
+    _assert_planes(x + y, reference.add_rows(x_rows, y_rows))
+    _assert_planes(x - y, reference.add_rows(x_rows, reference.scale_rows(y_rows, -1)))
+    _assert_planes(x - x, reference.zero_rows(m, n))
+    _assert_planes(-x, reference.scale_rows(x_rows, -1))
+    for c in scalars:
+        _assert_planes(x * c, reference.scale_rows(x_rows, c))
+        _assert_planes(c * x, reference.scale_rows(x_rows, c))
+    i, j = rng.randrange(m), rng.randrange(n)
+    changed = [list(row) for row in x_rows]
+    changed[i][j] += GaussianRational(0, Fraction(1, BIG_PRIME)) if rng.random() < 0.5 else Fraction(1, BIG_PRIME)
+    assert Matrix(changed) != x
+    assert (x == y) == (x_rows == y_rows)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -18,11 +18,13 @@ from respfd.linalg import (
     rank,
     s_identity_minus,
     solve,
+    solve_many,
 )
 from respfd.polynomials import Poly
 from respfd.scalars import GaussianRational
 from tests import reference
 from tests.conftest import GOLDEN_3X3_CHAINS, random_jordan_matrix
+from tests.surds import SqrtExt
 
 
 def test_matrix_square_identity():
@@ -95,6 +97,23 @@ def test_solve_and_consistency():
     # consistent singular system still solvable
     x = solve(singular, (Fraction(1), Fraction(2)))
     assert mat_vec(singular, x) == (Fraction(1), Fraction(2))
+
+
+def test_entries_outside_gaussian_rationals_rejected():
+    surd = SqrtExt(1, 1, 2)
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1, surd]])
+    with pytest.raises(TypeError):
+        Matrix.identity(2) * surd
+
+
+def test_solve_rejects_rhs_of_wrong_length():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    for rhs in ([Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(DimensionMismatch):
+            solve(m, rhs)
+        with pytest.raises(DimensionMismatch):
+            solve_many(m, [[Fraction(1), Fraction(2)], rhs])
 
 
 def test_rank_gaussian_matrix():
