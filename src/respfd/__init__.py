@@ -82,7 +82,6 @@ from .pfd import (
 from .polynomials import FactoredCharPoly, Poly, factor_charpoly
 from .scalars import (
     GaussianRational,
-    Rational,
     format_scalar,
     parse_rational,
     parse_scalar,

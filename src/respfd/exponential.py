@@ -104,12 +104,6 @@ class ClosedFormExp:
     def size(self) -> int:
         return self.matrix.nrows
 
-    def coefficient_of(self, basis: BasisFunction) -> Matrix:
-        for b, c in self.terms:
-            if b == basis:
-                return c
-        return Matrix.zeros(self.size, self.size)
-
     def value_at_zero(self) -> Matrix:
         acc = Matrix.zeros(self.size, self.size)
         for basis, coeff in self.terms:

@@ -5,12 +5,15 @@ Matrix files: one row per line, whitespace-separated exact rational tokens
 matrix must be square.  Rendering a matrix back to file text round-trips
 bit-exactly.
 
+Text and LaTeX share one formatter per object (polynomial, factored
+characteristic polynomial, quadratic factor, basis function, solution
+components), and its `fmt` argument picks the spelling: the scalar
+formatter, `^k` or `^{k}` for exponents, and the parentheses that text alone
+puts around a p/q coefficient of a variable (`_operand`).  LaTeX output
+emits bmatrix blocks arranged as sums of basis functions times matrices.
 JSON output encodes every rational scalar as a string (exactness survives
 serialization) and Gaussian rationals as two-field {"re", "im"} objects.
-LaTeX output emits bmatrix blocks arranged as sums of basis functions times
-matrices.
 """
-
 from __future__ import annotations
 
 import json
@@ -26,7 +29,7 @@ from .exponential import (
 from .linalg import Matrix
 from .pfd import CheckResult, RealResolventPFD
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import GaussianRational, format_scalar, parse_rational, rational_sqrt
+from .scalars import GaussianRational, format_scalar, parse_rational, rational_sqrt, scalar_re
 
 
 def parse_matrix(data) -> Matrix:
@@ -104,10 +107,30 @@ def latex_scalar(x) -> str:
     return _latex_rational(x)
 
 
-def format_matrix_inline(m: Matrix) -> str:
-    return "[" + ", ".join(
-        "[" + ", ".join(format_scalar(x) for x in row) + "]" for row in m.rows
-    ) + "]"
+# What text and LaTeX spell differently: the scalar and the exponent.
+_SCALAR = {"text": format_scalar, "latex": latex_scalar}
+_POWER = {"text": "{}^{}", "latex": "{}^{{{}}}"}
+
+
+def _power(base: str, k: int, fmt: str) -> str:
+    return base if k == 1 else _POWER[fmt].format(base, k)
+
+
+def _nonreal(x) -> bool:
+    return isinstance(x, GaussianRational) and x.im != 0
+
+
+def _operand(x, fmt: str, coefficient: bool = False) -> str:
+    """x inside a larger expression: the one rule for parentheses.
+
+    A non-real value always goes in parentheses.  Text also puts a p/q
+    coefficient of a variable in parentheses, as in (1/2)s or e^((1/2)t);
+    LaTeX needs none there.
+    """
+    text = _SCALAR[fmt](x)
+    if _nonreal(x) or (coefficient and fmt == "text" and "/" in text):
+        return f"({text})"
+    return text
 
 
 def format_vector(v) -> str:
@@ -125,146 +148,89 @@ def format_matrix_block(m: Matrix, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
+def _bmatrix(rows) -> str:
+    body = "\\\\".join("&".join(latex_scalar(x) for x in row) for row in rows)
+    return "\\begin{bmatrix}" + body + "\\end{bmatrix}"
+
+
 def latex_matrix(m: Matrix) -> str:
-    rows = ["&".join(latex_scalar(x) for x in row) for row in m.rows]
-    return "\\begin{bmatrix}" + "\\\\".join(rows) + "\\end{bmatrix}"
+    return _bmatrix(m.rows)
+
+
+def _latex_column(v) -> str:
+    return _bmatrix((x,) for x in v)
 
 
 def matrix_to_json(m: Matrix) -> list:
     return [[scalar_to_json(x) for x in row] for row in m.rows]
 
 
-def format_poly(p: Poly, variable: str = "s") -> str:
-    """Human-readable polynomial, highest degree first."""
-    if p.is_zero:
-        return "0"
+def format_poly(p: Poly, fmt: str = "text") -> str:
+    """p with the highest degree first, e.g. s^2 - (1/2)s + 3."""
     pieces = []
     for k in range(p.degree, -1, -1):
         c = p.coeff(k)
         if not c:
             continue
-        text = format_scalar(c)
-        negative = text.startswith("-")
-        magnitude = text[1:] if negative else text
-        if k > 0:
-            if isinstance(c, GaussianRational) and c.im != 0:
-                magnitude = f"({text})"
-                negative = False
-            elif "/" in magnitude:
-                magnitude = f"({magnitude})"
-            if magnitude == "1":
-                magnitude = ""
-            var = variable if k == 1 else f"{variable}^{k}"
-            body = f"{magnitude}{var}"
-        else:
-            if isinstance(c, GaussianRational) and c.im != 0:
-                body = f"({text})"
-                negative = False
-            else:
-                body = magnitude
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
+        negative = not _nonreal(c) and scalar_re(c) < 0
+        body = _operand(-c if negative else c, fmt, coefficient=k > 0)
+        if k:
+            body = ("" if body == "1" else body) + _power("s", k, fmt)
+        if pieces:
             pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
-
-
-def format_linear_factor(root, multiplicity: int) -> str:
-    if isinstance(root, GaussianRational) and root.im != 0:
-        base = f"(s - ({format_scalar(root)}))"
-    else:
-        r = Fraction(root) if not isinstance(root, GaussianRational) else root.re
-        if r == 0:
-            base = "s"
-        elif r > 0:
-            base = f"(s - {r})"
         else:
-            base = f"(s + {-r})"
-    return base if multiplicity == 1 else f"{base}^{multiplicity}"
+            pieces.append(f"-{body}" if negative else body)
+    return " ".join(pieces) or "0"
 
 
-def format_quadratic_factor(a: Fraction, d: Fraction) -> str:
-    if a == 0:
-        return f"(s^2 + {d})"
-    inner = f"s + {a}" if a > 0 else f"s - {-a}"
-    return f"(({inner})^2 + {d})"
+def _linear(root, fmt: str) -> str:
+    """s - root with a real root's sign folded in: s - 2, s + 1/2, s - (1+i), s."""
+    if _nonreal(root) or scalar_re(root) > 0:
+        return f"s - {_operand(root, fmt)}"
+    return f"s + {_SCALAR[fmt](-root)}" if root else "s"
 
 
-def format_factored(f: FactoredCharPoly) -> str:
-    parts = [format_linear_factor(root, mult) for root, mult in f.linear]
-    parts += [format_quadratic_factor(a, d) for a, d in f.quadratic]
-    return " ".join(parts) if parts else "1"
+def format_quadratic(a: Fraction, d: Fraction, fmt: str = "text") -> str:
+    """The irreducible quadratic (s + a)^2 + d, or s^2 + d when a = 0."""
+    square = f"({_linear(-a, fmt)})^2" if a else "s^2"
+    return f"{square} + {_SCALAR[fmt](d)}"
+
+
+def format_factored(f: FactoredCharPoly, fmt: str = "text") -> str:
+    parts = [_power(f"({_linear(root, fmt)})" if root else "s", mult, fmt) for root, mult in f.linear]
+    parts += [f"({format_quadratic(a, d, fmt)})" for a, d in f.quadratic]
+    return " ".join(parts) or "1"
 
 
 # ---------------------------------------------------------------------------
 # basis-function formatting
 
 
-def _exp_factor_text(lam) -> str | None:
+def _exp_factor(lam, fmt: str) -> str:
+    """e^(lam t), or "" when lam = 0."""
     if not lam:
-        return None
-    if lam == 1:
-        return "e^t"
-    if lam == -1:
-        return "e^(-t)"
-    if isinstance(lam, GaussianRational) and lam.im != 0:
-        return f"e^(({format_scalar(lam)})t)"
-    lam = Fraction(lam) if not isinstance(lam, GaussianRational) else lam.re
-    if lam.denominator == 1:
-        return f"e^({lam}t)"
-    return f"e^(({lam})t)"
+        return ""
+    rate = "t" if lam == 1 else "-t" if lam == -1 else _operand(lam, fmt, coefficient=True) + "t"
+    if fmt == "latex":
+        return f"e^{{{rate}}}"
+    return "e^t" if rate == "t" else f"e^({rate})"
 
 
-def _frequency_text(d: Fraction) -> str:
-    beta = rational_sqrt(d)
-    if beta is None:
-        return f"sqrt({d}) t"
-    if beta.denominator == 1:
-        return f"{beta}t"
-    return f"({beta})t"
-
-
-def format_basis(basis: BasisFunction) -> str:
+def format_basis(basis: BasisFunction, fmt: str = "text") -> str:
+    """The scalar function of t in one closed-form term, e.g. t e^(-t)."""
+    latex = fmt == "latex"
     if basis.kind == "exp":
-        t_part = "" if basis.k == 0 else ("t" if basis.k == 1 else f"t^{basis.k}")
-        e_part = _exp_factor_text(basis.lam)
-        if not t_part and not e_part:
-            return "1"
-        return " ".join(part for part in (t_part, e_part) if part)
-    envelope = _exp_factor_text(-basis.a)
-    trig = "cos" if basis.kind == "cos" else "sin"
-    body = f"{trig}({_frequency_text(basis.d)})"
-    if basis.kind == "sin" and basis.inv_scale:
-        body = f"{body} / sqrt({basis.d})"
-    return f"{envelope} {body}" if envelope else body
-
-
-def _latex_exp_factor(lam) -> str | None:
-    if not lam:
-        return None
-    inner = latex_scalar(lam)
-    if lam == 1:
-        return "e^{t}"
-    if lam == -1:
-        return "e^{-t}"
-    if isinstance(lam, GaussianRational) and lam.im != 0:
-        return f"e^{{({inner})t}}"
-    return f"e^{{{inner}t}}"
-
-
-def latex_basis(basis: BasisFunction) -> str:
-    if basis.kind == "exp":
-        t_part = "" if basis.k == 0 else ("t" if basis.k == 1 else f"t^{{{basis.k}}}")
-        e_part = _latex_exp_factor(basis.lam) or ""
-        return (t_part + e_part) or "1"
-    envelope = _latex_exp_factor(-basis.a) or ""
-    beta = rational_sqrt(basis.d)
-    freq = f"\\sqrt{{{basis.d}}} t" if beta is None else f"{latex_scalar(beta)}t"
-    trig = "\\cos" if basis.kind == "cos" else "\\sin"
-    body = f"{trig}({freq})"
-    if basis.kind == "sin" and basis.inv_scale:
-        body = f"\\frac{{{body}}}{{\\sqrt{{{basis.d}}}}}"
-    return envelope + body
+        parts = (_power("t", basis.k, fmt) if basis.k else "", _exp_factor(basis.lam, fmt))
+    else:
+        beta = rational_sqrt(basis.d)
+        root = f"\\sqrt{{{basis.d}}}" if latex else f"sqrt({basis.d})"
+        freq = f"{root} t" if beta is None else _operand(beta, fmt, coefficient=True) + "t"
+        trig = "\\" + basis.kind if latex else basis.kind
+        body = f"{trig}({freq})"
+        if basis.kind == "sin" and basis.inv_scale:
+            body = f"\\frac{{{body}}}{{{root}}}" if latex else f"{body} / {root}"
+        parts = (_exp_factor(-basis.a, fmt), body)
+    return ("" if latex else " ").join(part for part in parts if part) or "1"
 
 
 def basis_to_json(basis: BasisFunction) -> dict:
@@ -274,6 +240,17 @@ def basis_to_json(basis: BasisFunction) -> dict:
     if basis.kind == "sin":
         out["scale"] = f"1/sqrt({basis.d})" if basis.inv_scale else "1"
     return out
+
+
+def _components(components, fmt: str) -> str:
+    """basis * vector terms joined by +: the body of a solve or general result."""
+    if fmt == "latex":
+        return " + ".join(format_basis(basis, fmt) + _latex_column(vec) for basis, vec in components)
+    return " + ".join(f"{format_basis(basis)} * {format_vector(vec)}" for basis, vec in components)
+
+
+def _components_json(components) -> list:
+    return [dict(basis_to_json(basis), vector=[scalar_to_json(x) for x in vec]) for basis, vec in components]
 
 
 # ---------------------------------------------------------------------------
@@ -297,56 +274,13 @@ def render_charpoly(poly: Poly, factored: FactoredCharPoly, fmt: str) -> str:
         }
         return _finish_json(payload)
     if fmt == "latex":
-        lines = [f"\\det(sI - A) = {latex_poly(poly)}"]
-        lines.append(f"= {latex_factored(factored)}")
+        lines = [f"\\det(sI - A) = {format_poly(poly, fmt)}"]
+        lines.append(f"= {format_factored(factored, fmt)}")
         return "\n".join(lines) + "\n"
     lines = [f"det(sI - A) = {format_poly(poly)}"]
     lines.append(f"mode: {factored.mode}")
     lines.append(f"factors: {format_factored(factored)}")
     return "\n".join(lines) + "\n"
-
-
-def latex_poly(p: Poly, variable: str = "s") -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        text = latex_scalar(c)
-        negative = text.startswith("-")
-        magnitude = text[1:] if negative else text
-        if k > 0:
-            if magnitude == "1":
-                magnitude = ""
-            var = variable if k == 1 else f"{variable}^{{{k}}}"
-            body = f"{magnitude}{var}"
-        else:
-            body = magnitude
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
-
-
-def latex_factored(f: FactoredCharPoly) -> str:
-    parts = []
-    for root, mult in f.linear:
-        if isinstance(root, GaussianRational) and root.im != 0:
-            base = f"(s - ({latex_scalar(root)}))"
-        else:
-            r = root if isinstance(root, Fraction) else Fraction(root)
-            if r == 0:
-                base = "s"
-            elif r > 0:
-                base = f"(s - {latex_scalar(r)})"
-            else:
-                base = f"(s + {latex_scalar(-r)})"
-        parts.append(base if mult == 1 else f"{base}^{{{mult}}}")
-    parts += [f"({_latex_quadratic_denominator(a, d)})" for a, d in f.quadratic]
-    return " ".join(parts) if parts else "1"
 
 
 def render_pfd(pfd, fmt: str) -> str:
@@ -376,19 +310,14 @@ def render_pfd(pfd, fmt: str) -> str:
     if fmt == "latex":
         pieces = []
         for term in pfd.linear:
+            denom = f"s - {latex_scalar(term.eigenvalue)}" if term.eigenvalue != 0 else "s"
             for j in range(1, term.multiplicity + 1):
-                denom = f"s - {latex_scalar(term.eigenvalue)}" if term.eigenvalue != 0 else "s"
-                if j > 1:
-                    frac = f"\\frac{{1}}{{({denom})^{{{j}}}}}"
-                else:
-                    frac = f"\\frac{{1}}{{{denom}}}"
-                pieces.append(frac + latex_matrix(term.coefficient(j)))
+                power = denom if j == 1 else _power(f"({denom})", j, fmt)
+                pieces.append(f"\\frac{{1}}{{{power}}}" + latex_matrix(term.coefficient(j)))
         for quad in pfd.quadratic:
-            denom = _latex_quadratic_denominator(quad.a, quad.d)
+            denom = format_quadratic(quad.a, quad.d, fmt)
             shifted = f"s + {latex_scalar(quad.a)}" if quad.a != 0 else "s"
-            pieces.append(
-                f"\\frac{{{shifted}}}{{{denom}}}" + latex_matrix(quad.p_matrix)
-            )
+            pieces.append(f"\\frac{{{shifted}}}{{{denom}}}" + latex_matrix(quad.p_matrix))
             pieces.append(f"\\frac{{1}}{{{denom}}}" + latex_matrix(quad.q_matrix))
         return "(sI - A)^{-1} = " + " + ".join(pieces) + "\n"
     lines = []
@@ -398,19 +327,12 @@ def render_pfd(pfd, fmt: str) -> str:
             lines.append(f"  B[{j}] =")
             lines.append(format_matrix_block(term.coefficient(j), indent="    "))
     for quad in pfd.quadratic:
-        lines.append(f"quadratic factor {format_quadratic_factor(quad.a, quad.d)}")
+        lines.append(f"quadratic factor ({format_quadratic(quad.a, quad.d)})")
         lines.append("  P =")
         lines.append(format_matrix_block(quad.p_matrix, indent="    "))
         lines.append("  Q =")
         lines.append(format_matrix_block(quad.q_matrix, indent="    "))
     return "\n".join(lines) + "\n"
-
-
-def _latex_quadratic_denominator(a: Fraction, d: Fraction) -> str:
-    if a == 0:
-        return f"s^2 + {latex_scalar(d)}"
-    inner = f"s + {latex_scalar(a)}" if a > 0 else f"s - {latex_scalar(-a)}"
-    return f"({inner})^2 + {latex_scalar(d)}"
 
 
 def render_chains(groups: list[tuple], fmt: str) -> str:
@@ -442,9 +364,7 @@ def render_chains(groups: list[tuple], fmt: str) -> str:
         for eigenvalue, mult, chains in groups:
             lines.append(f"\\lambda = {latex_scalar(eigenvalue)}:")
             for chain in chains:
-                vecs = " \\to ".join(
-                    latex_matrix(Matrix.from_rows([[x] for x in v])) for v in chain.vectors
-                )
+                vecs = " \\to ".join(_latex_column(v) for v in chain.vectors)
                 lines.append(f"\\quad {vecs}")
         return "\n".join(lines) + "\n"
     lines = []
@@ -467,7 +387,7 @@ def render_exp(cf: ClosedFormExp, fmt: str) -> str:
         }
         return _finish_json(payload)
     if fmt == "latex":
-        pieces = [latex_basis(basis) + latex_matrix(coeff) for basis, coeff in cf.terms]
+        pieces = [format_basis(basis, fmt) + latex_matrix(coeff) for basis, coeff in cf.terms]
         return "e^{tA} = " + " + ".join(pieces) + "\n"
     lines = ["e^(tA) ="]
     for idx, (basis, coeff) in enumerate(cf.terms):
@@ -481,54 +401,33 @@ def render_solve(sol: IVPSolution, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "y0": [scalar_to_json(x) for x in sol.y0],
-            "components": [
-                dict(basis_to_json(basis), vector=[scalar_to_json(x) for x in vec])
-                for basis, vec in sol.components
-            ],
+            "components": _components_json(sol.components),
         }
         return _finish_json(payload)
     if fmt == "latex":
-        pieces = [
-            latex_basis(basis) + latex_matrix(Matrix.from_rows([[x] for x in vec]))
-            for basis, vec in sol.components
-        ]
-        return "y(t) = " + " + ".join(pieces) + "\n"
-    pieces = [
-        f"{format_basis(basis)} * {format_vector(vec)}" for basis, vec in sol.components
-    ]
-    return (" + ".join(pieces) if pieces else "0") + "\n"
+        return "y(t) = " + _components(sol.components, fmt) + "\n"
+    return (_components(sol.components, fmt) or "0") + "\n"
 
 
 def render_general(gen: GeneralSolution, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "solutions": [
-                {
-                    "constant": f"C{c + 1}",
-                    "components": [
-                        dict(basis_to_json(basis), vector=[scalar_to_json(x) for x in vec])
-                        for basis, vec in components
-                    ],
-                }
+                {"constant": f"C{c + 1}", "components": _components_json(components)}
                 for c, components in enumerate(gen.fundamental)
             ]
         }
         return _finish_json(payload)
     if fmt == "latex":
-        pieces = []
-        for c, components in enumerate(gen.fundamental):
-            inner = " + ".join(
-                latex_basis(basis) + latex_matrix(Matrix.from_rows([[x] for x in vec]))
-                for basis, vec in components
-            )
-            pieces.append(f"C_{{{c + 1}}}\\left({inner}\\right)")
+        pieces = [
+            f"C_{{{c + 1}}}\\left({_components(components, fmt)}\\right)"
+            for c, components in enumerate(gen.fundamental)
+        ]
         return "y(t) = " + " + ".join(pieces) + "\n"
-    lines = []
-    for c, components in enumerate(gen.fundamental):
-        inner = " + ".join(
-            f"{format_basis(basis)} * {format_vector(vec)}" for basis, vec in components
-        )
-        lines.append(f"C{c + 1} * ({inner})")
+    lines = [
+        f"C{c + 1} * ({_components(components, fmt)})"
+        for c, components in enumerate(gen.fundamental)
+    ]
     return "\n".join(lines) + "\n"
 
 

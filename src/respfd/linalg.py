@@ -426,9 +426,6 @@ class PolyMatrix:
             return self.coeff_matrices[k]
         return Matrix.zeros(self.size, self.size)
 
-    def entry_poly(self, i: int, j: int) -> Poly:
-        return Poly(tuple(c[i, j] for c in self.coeff_matrices))
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix-polynomial product; each output coefficient sums its plane products in one integer accumulator."""
         n = self.size

@@ -98,12 +98,6 @@ class ResolventPFD:
     def size(self) -> int:
         return self.matrix.nrows
 
-    def term_for(self, eigenvalue: Scalar) -> EigenvalueTerm:
-        for term in self.terms:
-            if term.eigenvalue == eigenvalue:
-                return term
-        raise KeyError(f"no term for eigenvalue {eigenvalue}")
-
 
 @dataclass(frozen=True)
 class RealResolventPFD:

@@ -60,11 +60,6 @@ class Poly:
         return Poly((c,))
 
     @staticmethod
-    def variable() -> "Poly":
-        """The polynomial s."""
-        return Poly((Fraction(0), Fraction(1)))
-
-    @staticmethod
     def linear(root: Scalar) -> "Poly":
         """The monic linear factor s - root."""
         return Poly((-root, Fraction(1)))
@@ -153,12 +148,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - q * b
         return Poly(quot), Poly(rem[: other.degree if other.degree > 0 else 0])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
@@ -274,8 +263,11 @@ def _view(rational: dict, quadratic: dict, mode: str) -> FactoredCharPoly:
             shapes.append((a, d))
     for a, d in shapes:  # real mode, after every irrational factor was refused
         if quadratic[(a, d)] > 1:
-            shape_text = f"s^2 + {d}" if a == 0 else f"(s + {a})^2 + {d}"
-            raise RepeatedQuadraticFactor(f"quadratic factor {shape_text} is repeated", quadratic=(a, d))
+            from .io import format_quadratic
+
+            raise RepeatedQuadraticFactor(
+                f"quadratic factor {format_quadratic(a, d)} is repeated", quadratic=(a, d)
+            )
     return FactoredCharPoly(
         mode=mode,
         linear=tuple(sorted(linear.items(), key=lambda item: scalar_key(item[0]))),

@@ -23,8 +23,6 @@ import re as _re
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 # Scalars accepted by the generic matrix / polynomial code.
 Scalar = Union[int, Fraction, "GaussianRational"]
 
@@ -129,19 +127,6 @@ class GaussianRational:
         if other is None:
             return NotImplemented
         return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = GaussianRational(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

@@ -295,6 +295,11 @@ def reconstruct_resolvent(pfd, s0) -> Matrix:
     return Matrix(resolvent_rows(pfd, s0))
 
 
+def entry_poly(p: PolyMatrix, i: int, j: int) -> Poly:
+    """Entry (i, j) of a polynomial matrix as one polynomial in s."""
+    return Poly(tuple(c[i, j] for c in p.coeff_matrices))
+
+
 def taylor_shift(p: Poly, c) -> Poly:
     """Taylor shift: returns q with q(s) = p(s + c), exactly.
 
@@ -385,7 +390,7 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
         entries = [[[None] * n for _ in range(n)] for _ in range(mult)]  # [m][i][j]
         for i in range(n):
             for j in range(n):
-                series = series_div(taylor_shift(adjugate.entry_poly(i, j), eigenvalue), denom_shifted, mult)
+                series = series_div(taylor_shift(entry_poly(adjugate, i, j), eigenvalue), denom_shifted, mult)
                 for m in range(mult):
                     entries[m][i][j] = series.coeff(m)
         coefficients = tuple(

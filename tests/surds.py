@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from respfd.exponential import BasisFunction, ClosedFormExp
+from respfd.linalg import Matrix
 from respfd.scalars import rational_sqrt
 from tests import reference
 
@@ -130,6 +131,14 @@ class SqrtExt:
         return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
 
+def coefficient_of(cf: ClosedFormExp, basis: BasisFunction) -> Matrix:
+    """The matrix multiplying `basis` in the closed form (zero if absent)."""
+    for b, c in cf.terms:
+        if b == basis:
+            return c
+    return Matrix.zeros(cf.size, cf.size)
+
+
 def sin_coefficient_materialized(cf: ClosedFormExp, basis: BasisFunction) -> tuple:
     """Fold a sine term's 1/sqrt(d) scale into the matrix, over Q(sqrt(d)).
 
@@ -138,6 +147,6 @@ def sin_coefficient_materialized(cf: ClosedFormExp, basis: BasisFunction) -> tup
     """
     if basis.kind != "sin" or not basis.inv_scale:
         raise ValueError("materialization applies to 1/sqrt(d)-scaled sine terms")
-    coeff = cf.coefficient_of(basis)
+    coeff = coefficient_of(cf, basis)
     factor = SqrtExt(Fraction(0), Fraction(1) / basis.d, basis.d)  # = 1/sqrt(d)
     return reference.scale_rows(coeff.rows, factor)

@@ -17,6 +17,7 @@ SPIRAL_FILE = "1 9 6\n-6 -20 -12\n9 24 13\n"
 ROTATION_FILE = "5 17\n-2 -5\n"
 IRRATIONAL_FILE = "0 2\n1 0\n"  # characteristic polynomial s^2 - 2
 REPEATED_QUAD_FILE = "0 -1 0 0\n1 0 0 0\n0 0 0 -1\n0 0 1 0\n"  # (s^2+1)^2
+SHIFTED_REPEATED_QUAD_FILE = "0 0 0 -1\n1 0 0 2\n0 1 0 -3\n0 0 1 2\n"  # (s^2-s+1)^2
 
 
 @pytest.fixture
@@ -135,6 +136,12 @@ def test_exit_1_repeated_quadratic_real_mode(write):
     assert code == 1
     assert "RepeatedQuadraticFactor" in err
     assert "s^2 + 1" in err
+
+
+def test_repeated_quadratic_message_folds_the_sign(write):
+    code, out, err = run(["pfd", write(SHIFTED_REPEATED_QUAD_FILE), "--mode", "real"])
+    assert (code, out) == (1, "")
+    assert err == "factor: RepeatedQuadraticFactor: quadratic factor (s - 1/2)^2 + 3/4 is repeated\n"
 
 
 def test_repeated_quadratic_fine_in_complex_auto(write):

@@ -29,7 +29,7 @@ from tests.conftest import (
     NILPOTENT_2X2,
     random_jordan_matrix,
 )
-from tests.surds import SqrtExt, sin_coefficient_materialized
+from tests.surds import SqrtExt, coefficient_of, sin_coefficient_materialized
 
 
 def test_distinct_real_closed_form():
@@ -190,7 +190,7 @@ def test_irrational_frequency_kept_symbolic():
     cf = matrix_exponential(a)  # auto falls back to real mode
     sin = sin_basis(Fraction(1), Fraction(2))
     assert sin.inv_scale
-    coeff = cf.coefficient_of(sin)
+    coeff = coefficient_of(cf, sin)
     assert coeff == Matrix.from_rows([[0, 2], [-1, 0]])
     materialized = sin_coefficient_materialized(cf, sin)
     assert materialized[0][1] == SqrtExt(0, Fraction(1), 2)  # 2/sqrt(2) = sqrt(2)

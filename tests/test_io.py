@@ -11,7 +11,6 @@ from respfd.errors import EmptyMatrix, MatrixParseError, NonSquareMatrix
 from respfd.exponential import matrix_exponential, sin_basis
 from respfd.io import (
     format_basis,
-    format_matrix_inline,
     format_poly,
     format_vector,
     latex_matrix,
@@ -104,7 +103,6 @@ def test_format_sin_basis_with_surd():
 
 def test_format_vector_and_inline_matrix():
     assert format_vector((Fraction(-3), Fraction(-5), Fraction(6))) == "[-3, -5, 6]"
-    assert format_matrix_inline(Matrix.identity(2)) == "[[1, 0], [0, 1]]"
 
 
 def test_pfd_json_counts_and_exactness():

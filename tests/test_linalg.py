@@ -136,9 +136,9 @@ def test_inverse_round_trip(rng):
 def test_faddeev_golden_3x3():
     charpoly, adjugate = faddeev_leverrier(GOLDEN_3X3_CHAINS)
     assert charpoly == Poly((Fraction(-8), Fraction(12), Fraction(-6), Fraction(1)))
-    assert adjugate.entry_poly(0, 0) == Poly((Fraction(8), Fraction(-6), Fraction(1)))
-    assert adjugate.entry_poly(0, 1) == Poly((Fraction(0), Fraction(1)))
-    assert adjugate.entry_poly(0, 2) == Poly((Fraction(-8), Fraction(2)))
+    assert reference.entry_poly(adjugate, 0, 0) == Poly((Fraction(8), Fraction(-6), Fraction(1)))
+    assert reference.entry_poly(adjugate, 0, 1) == Poly((Fraction(0), Fraction(1)))
+    assert reference.entry_poly(adjugate, 0, 2) == Poly((Fraction(-8), Fraction(2)))
 
 
 def test_faddeev_2x2_rotationlike():

@@ -46,6 +46,13 @@ def _real_pfd(a):
     return pfd_real(factored, adjugate, a)
 
 
+def _term_for(pfd, eigenvalue):
+    for term in pfd.terms:
+        if term.eigenvalue == eigenvalue:
+            return term
+    raise KeyError(f"no term for eigenvalue {eigenvalue}")
+
+
 def test_golden_triple_eigenvalue_decomposition():
     pfd = _complex_pfd(GOLDEN_3X3_CHAINS)
     (term,) = pfd.terms
@@ -199,13 +206,13 @@ def test_real_mode_pairs_match_residue_terms(a):
     residue = pfd_residue(factored, adjugate, a)
     real = pfd_real(factored.view("real"), adjugate, a)
     for term in real.linear:
-        assert term.coefficients == residue.term_for(term.eigenvalue).coefficients
+        assert term.coefficients == _term_for(residue, term.eigenvalue).coefficients
     assert real.quadratic
     for quad in real.quadratic:
         beta = rational_sqrt(quad.d)
         assert beta is not None
-        plus = residue.term_for(GaussianRational(-quad.a, beta)).coefficient(1)
-        minus = residue.term_for(GaussianRational(-quad.a, -beta)).coefficient(1)
+        plus = _term_for(residue, GaussianRational(-quad.a, beta)).coefficient(1)
+        minus = _term_for(residue, GaussianRational(-quad.a, -beta)).coefficient(1)
         assert quad.p_matrix == plus + minus
         assert quad.q_matrix == (plus - minus) * GaussianRational(0, beta)
 
