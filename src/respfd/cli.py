@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -127,6 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated sample times for the oracle comparison",
     )
     return parser
+
+
+# The parser that run() uses, built on the first call and kept: building one
+# costs about 30 times as much as a parse, and every parser is cyclic garbage.
+# It caches the original function object, so a later replacement of
+# cli.build_parser (which still returns a fresh parser) never reaches it.
+_parser = functools.cache(build_parser)
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -404,9 +412,8 @@ _DISPATCH = {
 
 def run(argv) -> tuple[int, str, str]:
     """Execute a command line; returns (exit code, stdout text, stderr text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), "", ""
     try:

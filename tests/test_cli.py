@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from respfd.cli import run
+from respfd import cli
+from respfd.cli import build_parser, run
 from tests.conftest import deadline
 
 GOLDEN_CHAINS_FILE = "0 1 2\n-2 4 0\n-1 1 2\n"
@@ -245,6 +246,31 @@ def test_console_script_help():
     )
     assert result.returncode == 0
     assert b"charpoly" in result.stdout and b"verify" in result.stdout
+
+
+def test_run_keeps_the_parser_of_its_first_call(write, monkeypatch, capsys):
+    path = write(GOLDEN_CHAINS_FILE)
+    command_lines = [[sub, path] for sub in ("charpoly", "pfd", "chains", "exp", "general", "verify")]
+    command_lines += [["solve", path, "--y0", "1,0,1"], ["--help"], ["pfd", path, "--bogus"]]
+
+    def observe():
+        # argparse writes --help and its usage errors to sys.stdout / sys.stderr itself
+        return [(run(argv), capsys.readouterr()) for argv in command_lines]
+
+    run(["charpoly", path])
+    before = observe()
+
+    def no_new_parser():
+        raise AssertionError("run() built a parser after its first call")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    assert observe() == before
+    assert [result[0] for result, _ in before] == [0] * 8 + [2]
+    assert "usage: respfd" in before[-2][1].out and "unrecognized arguments: --bogus" in before[-1][1].err
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_verify_float_overflow_is_named_fail(write):
