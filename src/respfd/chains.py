@@ -154,30 +154,36 @@ def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
     candidates = sorted(
         extract_column_chains(pfd, eigenvalue_index), key=lambda c: (-c.length, c.column)
     )
-
-    def search(idx: int, chosen: list[Chain], stacked: list[tuple]):
-        if len(stacked) == target:
-            return chosen
-        if idx == len(candidates):
-            return None
-        if len(stacked) + sum(c.length for c in candidates[idx:]) < target:
-            return None
-        chain = candidates[idx]
-        if len(stacked) + chain.length <= target:
-            trial = stacked + list(chain.vectors)
-            if rank(Matrix.from_rows(trial)) == len(trial):
-                found = search(idx + 1, chosen + [chain], trial)
-                if found is not None:
-                    return found
-        return search(idx + 1, chosen, stacked)
-
-    selected = search(0, [], [])
+    selected = _search(candidates, target, 0, [], [])
     if selected is None:
         raise IncompleteBasis(
             f"no subset of column chains spans the {target}-dimensional "
             f"generalized eigenspace of eigenvalue {term.eigenvalue}"
         )
     return ChainBasis(term.eigenvalue, tuple(selected))
+
+
+def _search(candidates: list[Chain], target: int, idx: int, chosen: list[Chain], stacked: list[tuple]):
+    """First admit-first extension of `chosen` by candidates[idx:] to `target` vectors, or None.
+
+    A module-level function: a nested one that calls itself forms a
+    function <-> closure-cell cycle that keeps every candidate chain alive
+    until the cyclic GC runs.
+    """
+    if len(stacked) == target:
+        return chosen
+    if idx == len(candidates):
+        return None
+    if len(stacked) + sum(c.length for c in candidates[idx:]) < target:
+        return None
+    chain = candidates[idx]
+    if len(stacked) + chain.length <= target:
+        trial = stacked + list(chain.vectors)
+        if rank(Matrix.from_rows(trial)) == len(trial):
+            found = _search(candidates, target, idx + 1, chosen + [chain], trial)
+            if found is not None:
+                return found
+    return _search(candidates, target, idx + 1, chosen, stacked)
 
 
 def geometric_multiplicity(a: Matrix, eigenvalue: Scalar) -> int:

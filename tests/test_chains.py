@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,20 @@ from respfd.linalg import Matrix, mat_vec, rank, vec_is_zero
 from tests.conftest import (
     GOLDEN_3X3_CHAINS,
     GOLDEN_3X3_IVP,
+    GOLDEN_MATRICES,
     random_jordan_matrix,
+)
+
+# nilpotent with blocks (2, 2, 1): every column chain has length 2, so any
+# subset of whole chains carries an even vector count and can never be 5
+NILPOTENT_221 = Matrix.from_rows(
+    [
+        [1, 1, 1, 1, 1],
+        [-1, -1, -1, -2, -1],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
 )
 
 
@@ -167,23 +181,28 @@ def test_basis_counts_match_structure(rng):
 
 
 def test_incomplete_basis_is_genuine_when_raised():
-    # nilpotent with blocks (2, 2, 1): every column chain has length 2, so any
-    # subset of whole chains carries an even vector count and can never be 5
-    a = Matrix.from_rows(
-        [
-            [1, 1, 1, 1, 1],
-            [-1, -1, -1, -2, -1],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-        ]
-    )
-    pfd = decompose(a, "complex")
+    pfd = decompose(NILPOTENT_221, "complex")
     chains = extract_column_chains(pfd, 0)
     assert [c.length for c in chains] == [2, 2, 2, 2, 2]
     with pytest.raises(IncompleteBasis):
         select_chain_basis(pfd, 0)
     assert no_chain_subset_spans(chains, 5)
+
+
+def test_select_basis_leaves_no_cyclic_garbage():
+    pfds = [decompose(a, "complex") for a in (*GOLDEN_MATRICES, NILPOTENT_221)]
+    gc.collect()
+    gc.disable()
+    try:
+        for pfd in pfds:
+            for idx in range(len(pfd.terms)):
+                try:
+                    select_chain_basis(pfd, idx)
+                except IncompleteBasis:
+                    pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gaussian_eigenvalue_chains():
