@@ -223,7 +223,7 @@ def format_basis(basis: BasisFunction, fmt: str = "text") -> str:
         parts = (_power("t", basis.k, fmt) if basis.k else "", _exp_factor(basis.lam, fmt))
     else:
         beta = rational_sqrt(basis.d)
-        root = f"\\sqrt{{{basis.d}}}" if latex else f"sqrt({basis.d})"
+        root = f"\\sqrt{{{latex_scalar(basis.d)}}}" if latex else f"sqrt({basis.d})"
         freq = f"{root} t" if beta is None else _operand(beta, fmt, coefficient=True) + "t"
         trig = "\\" + basis.kind if latex else basis.kind
         body = f"{trig}({freq})"
@@ -310,13 +310,13 @@ def render_pfd(pfd, fmt: str) -> str:
     if fmt == "latex":
         pieces = []
         for term in pfd.linear:
-            denom = f"s - {latex_scalar(term.eigenvalue)}" if term.eigenvalue != 0 else "s"
+            denom = _linear(term.eigenvalue, fmt)
             for j in range(1, term.multiplicity + 1):
                 power = denom if j == 1 else _power(f"({denom})", j, fmt)
                 pieces.append(f"\\frac{{1}}{{{power}}}" + latex_matrix(term.coefficient(j)))
         for quad in pfd.quadratic:
             denom = format_quadratic(quad.a, quad.d, fmt)
-            shifted = f"s + {latex_scalar(quad.a)}" if quad.a != 0 else "s"
+            shifted = _linear(-quad.a, fmt)
             pieces.append(f"\\frac{{{shifted}}}{{{denom}}}" + latex_matrix(quad.p_matrix))
             pieces.append(f"\\frac{{1}}{{{denom}}}" + latex_matrix(quad.q_matrix))
         return "(sI - A)^{-1} = " + " + ".join(pieces) + "\n"

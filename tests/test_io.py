@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from respfd.errors import EmptyMatrix, MatrixParseError, NonSquareMatrix
-from respfd.exponential import matrix_exponential, sin_basis
+from respfd.exponential import cos_basis, decompose, matrix_exponential, sin_basis
 from respfd.io import (
     format_basis,
     format_poly,
@@ -24,7 +24,7 @@ from respfd.linalg import Matrix
 from respfd.pfd import pfd_residue
 from respfd.polynomials import Poly
 from respfd.scalars import GaussianRational
-from tests.conftest import GOLDEN_3X3_CHAINS, random_jordan_matrix
+from tests.conftest import GOLDEN_3X3_CHAINS, GOLDEN_3X3_SPIRAL, random_jordan_matrix
 
 
 def test_parse_golden_matrix_file():
@@ -101,6 +101,41 @@ def test_format_sin_basis_with_surd():
     assert format_basis(basis) == "sin(sqrt(2) t) / sqrt(2)"
 
 
+def test_latex_surd_radicand_is_a_latex_scalar():
+    d = Fraction(3, 4)
+    assert format_basis(cos_basis(Fraction(0), d), "latex") == "\\cos(\\sqrt{\\frac{3}{4}} t)"
+    assert format_basis(sin_basis(Fraction(1), d), "latex") == (
+        "e^{-t}\\frac{\\sin(\\sqrt{\\frac{3}{4}} t)}{\\sqrt{\\frac{3}{4}}}"
+    )
+    assert format_basis(sin_basis(Fraction(0), d)) == "sin(sqrt(3/4) t) / sqrt(3/4)"
+
+
+def test_pfd_latex_denominators_name_each_pole():
+    half = Fraction(1, 2)
+    # 1/2 +- 3/2 i, -1/3 and J2(-1/2): Gaussian, negative and p/q poles
+    a = Matrix.from_rows(
+        [
+            [half, -3 * half, 0, 0, 0],
+            [3 * half, half, 0, 0, 0],
+            [0, 0, Fraction(-1, 3), 0, 0],
+            [0, 0, 0, -half, 1],
+            [0, 0, 0, 0, -half],
+        ]
+    )
+    latex = render_pfd(decompose(a, "complex"), "latex")
+    assert "\\frac{1}{s + \\frac{1}{3}}" in latex
+    assert "\\frac{1}{s + \\frac{1}{2}}" in latex
+    assert "\\frac{1}{(s + \\frac{1}{2})^{2}}" in latex
+    assert "\\frac{1}{s - (\\frac{1}{2}+\\frac{3}{2}i)}" in latex
+    assert "\\frac{1}{s - (\\frac{1}{2}-\\frac{3}{2}i)}" in latex
+    assert "s - -" not in latex and "s + -" not in latex
+    latex = render_pfd(decompose(a, "real"), "latex")
+    assert "\\frac{s - \\frac{1}{2}}{(s - \\frac{1}{2})^2 + \\frac{9}{4}}" in latex
+    assert "s + -" not in latex
+    # (s + 2)((s + 2)^2 + 9)
+    assert "\\frac{s + 2}{(s + 2)^2 + 9}" in render_pfd(decompose(GOLDEN_3X3_SPIRAL, "real"), "latex")
+
+
 def test_format_vector_and_inline_matrix():
     assert format_vector((Fraction(-3), Fraction(-5), Fraction(6))) == "[-3, -5, 6]"
 
@@ -122,9 +157,6 @@ def test_pfd_json_counts_and_exactness():
 
 
 def test_pfd_json_real_mode_matrix_count():
-    from respfd.exponential import decompose
-    from tests.conftest import GOLDEN_3X3_SPIRAL
-
     payload = json.loads(render_pfd(decompose(GOLDEN_3X3_SPIRAL, "real"), "json"))
     linear_count = sum(len(term["B"]) for term in payload["terms"])
     quad_count = sum(1 for q in payload["quadratic"] for key in ("P", "Q") if key in q)
