@@ -69,7 +69,6 @@ from .pfd import (
     CheckResult,
     EigenvalueTerm,
     QuadraticTerm,
-    RealResolventPFD,
     ResolventPFD,
     all_passed,
     pfd_real,

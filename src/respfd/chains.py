@@ -56,7 +56,7 @@ class ChainBasis:
 
 def extract_column_chains(pfd: ResolventPFD, eigenvalue_index: int) -> list[Chain]:
     """All nonempty column chains for one eigenvalue, in column order."""
-    term = pfd.terms[eigenvalue_index]
+    term = pfd.linear[eigenvalue_index]
     n = pfd.size
     chains = []
     for m in range(n):
@@ -109,7 +109,7 @@ def membership_check(pfd: ResolventPFD, eigenvalue_index: int, v) -> tuple[bool,
     """
     if vec_is_zero(v):
         raise ValueError("membership_check requires a nonzero vector")
-    term = pfd.terms[eigenvalue_index]
+    term = pfd.linear[eigenvalue_index]
     if not _in_column_space(term.coefficient(1), v):
         return False, 0
     n = pfd.size
@@ -149,7 +149,7 @@ def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
     subsets all have even total and so can never span the 5-dimensional
     generalized eigenspace.
     """
-    term = pfd.terms[eigenvalue_index]
+    term = pfd.linear[eigenvalue_index]
     target = term.multiplicity
     candidates = sorted(
         extract_column_chains(pfd, eigenvalue_index), key=lambda c: (-c.length, c.column)

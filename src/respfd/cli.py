@@ -200,7 +200,7 @@ def _cmd_chains(a: Matrix, args, hints) -> str:
             residual=exc.residual,
         ) from exc
     groups = []
-    for idx, term in enumerate(pfd.terms):
+    for idx, term in enumerate(pfd.linear):
         groups.append((term.eigenvalue, term.multiplicity, extract_column_chains(pfd, idx)))
     return rio.render_chains(groups, args.fmt)
 
@@ -340,7 +340,7 @@ def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     eye = Matrix.identity(n)
     all_vectors = []
     expected_union = 0
-    for idx, term in enumerate(pfd.terms):
+    for idx, term in enumerate(pfd.linear):
         label = f"lambda={term.eigenvalue}"
         shifted = a - eye * term.eigenvalue
         structure_ok = True

@@ -27,7 +27,7 @@ from .exponential import (
     IVPSolution,
 )
 from .linalg import Matrix
-from .pfd import CheckResult, RealResolventPFD
+from .pfd import CheckResult
 from .polynomials import FactoredCharPoly, Poly
 from .scalars import GaussianRational, format_scalar, parse_rational, rational_sqrt, scalar_re
 
@@ -286,7 +286,7 @@ def render_charpoly(poly: Poly, factored: FactoredCharPoly, fmt: str) -> str:
 def render_pfd(pfd, fmt: str) -> str:
     if fmt == "json":
         payload = {
-            "mode": "real" if isinstance(pfd, RealResolventPFD) else "complex",
+            "mode": pfd.mode,
             "n": pfd.size,
             "terms": [
                 {

@@ -24,8 +24,8 @@ undetermined-coefficient solve with two more basis polynomials per quadratic
 factor: pfd_undetermined and pfd_real both build their basis and read the
 matrices solved by one sample-point solver, _solve_undetermined.
 
-Both decomposition types expose `linear` (EigenvalueTerm, ...) and
-`quadratic` (QuadraticTerm, ..., empty in complex mode).
+Each algorithm returns one ResolventPFD: `mode`, `linear` (EigenvalueTerm,
+...) and `quadratic` (QuadraticTerm, ..., empty in complex mode).
 
 verify_pfd and verify_real_pfd recompute the structural identities of the
 decomposition (projectors, chain recurrences, annihilation, reconstruction)
@@ -52,7 +52,7 @@ from .linalg import (
     to_integral,
 )
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import GaussianRational, Scalar, as_fraction, scalar_im, scalar_key, scalar_re
+from .scalars import Scalar, as_fraction, scalar_im, scalar_key, scalar_re
 
 
 @dataclass(frozen=True)
@@ -80,32 +80,16 @@ class QuadraticTerm:
 
 @dataclass(frozen=True)
 class ResolventPFD:
-    """Complete complex-mode decomposition, eigenvalues sorted by (re, im).
+    """Complete decomposition in one mode, eigenvalues sorted by (re, im).
 
-    `linear` and the always-empty `quadratic` give it the shape of
-    RealResolventPFD, so consumers need not ask which mode they hold.
+    `mode` is the factorization's mode, "complex" or "real"; real mode keeps
+    only rational eigenvalues in `linear` and adds the (P, Q) pairs.
     """
 
     matrix: Matrix
-    terms: tuple  # EigenvalueTerm, ...
-    quadratic = ()
-
-    @property
-    def linear(self) -> tuple:
-        return self.terms
-
-    @property
-    def size(self) -> int:
-        return self.matrix.nrows
-
-
-@dataclass(frozen=True)
-class RealResolventPFD:
-    """Real-mode decomposition: rational linear terms plus (P, Q) pairs."""
-
-    matrix: Matrix
-    linear: tuple  # EigenvalueTerm with rational eigenvalues
-    quadratic: tuple  # QuadraticTerm, ...
+    mode: str
+    linear: tuple  # EigenvalueTerm, ...
+    quadratic: tuple = ()  # QuadraticTerm, ..., real mode only
 
     @property
     def size(self) -> int:
@@ -130,9 +114,8 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     for eigenvalue, mult in factored.linear:
         series = _residue_series(charpoly, h_den, numerators, eigenvalue, mult)
         coefficients = tuple(from_integral(*series[mult - j], n, n) for j in range(1, mult + 1))
-        terms.append(EigenvalueTerm(_demote_scalar(eigenvalue), mult, coefficients))
-    terms.sort(key=lambda t: scalar_key(t.eigenvalue))
-    return ResolventPFD(matrix, tuple(terms))
+        terms.append(EigenvalueTerm(eigenvalue, mult, coefficients))
+    return ResolventPFD(matrix, factored.mode, tuple(terms))
 
 
 def _residue_series(charpoly: list, h_den: int, numerators: list, eigenvalue, mult: int) -> list:
@@ -191,12 +174,6 @@ def _gsum(values) -> tuple:
     for x, y in values:
         re, im = re + x, im + y
     return re, im
-
-
-def _demote_scalar(x):
-    if isinstance(x, GaussianRational) and x.im == 0:
-        return x.re
-    return x
 
 
 def sample_points(count: int, eigenvalues, n: int) -> list:
@@ -272,16 +249,10 @@ def pfd_undetermined(
     """
     if factored.mode != "complex":
         raise ValueError("pfd_undetermined requires a complex-mode factorization")
-    solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
-    terms = [
-        EigenvalueTerm(_demote_scalar(eigenvalue), mult, tuple(next(solved) for _ in range(mult)))
-        for eigenvalue, mult in factored.linear
-    ]
-    terms.sort(key=lambda t: scalar_key(t.eigenvalue))
-    return ResolventPFD(matrix, tuple(terms))
+    return _undetermined_pfd(factored, adjugate, matrix)
 
 
-def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> RealResolventPFD:
+def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> ResolventPFD:
     """Real-mode decomposition with undetermined matrix coefficients.
 
     Linear factors contribute B_ij exactly as in complex mode; each quadratic
@@ -291,13 +262,18 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
     """
     if factored.mode != "real":
         raise ValueError("pfd_real requires a real-mode factorization")
+    return _undetermined_pfd(factored, adjugate, matrix)
+
+
+def _undetermined_pfd(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> ResolventPFD:
+    """The solved matrices read in basis order: B_i1..B_ir per eigenvalue, then (P, Q) per quadratic."""
     solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
     linear = tuple(
         EigenvalueTerm(eigenvalue, mult, tuple(next(solved) for _ in range(mult)))
         for eigenvalue, mult in factored.linear
     )
     quadratic = tuple(QuadraticTerm(a, d, next(solved), next(solved)) for a, d in factored.quadratic)
-    return RealResolventPFD(matrix, linear, quadratic)
+    return ResolventPFD(matrix, factored.mode, linear, quadratic)
 
 
 def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
@@ -346,7 +322,7 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     eye = Matrix.identity(a.nrows)
     results = [CheckResult("projector_sum", _projector_sum(pfd) == eye, "sum of B_i1 equals I")]
 
-    for term in pfd.terms:
+    for term in pfd.linear:
         b1 = term.coefficient(1)
         shifted = a - eye * term.eigenvalue
         label = f"lambda={term.eigenvalue}"
@@ -380,8 +356,8 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
             )
         )
 
-    for i, term_i in enumerate(pfd.terms):
-        for p, term_p in enumerate(pfd.terms):
+    for i, term_i in enumerate(pfd.linear):
+        for p, term_p in enumerate(pfd.linear):
             if i < p:
                 product = term_i.coefficient(1) @ term_p.coefficient(1)
                 results.append(
@@ -396,7 +372,7 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     return results
 
 
-def verify_real_pfd(a: Matrix, pfd: RealResolventPFD) -> list[CheckResult]:
+def verify_real_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     """Structural identity report for a real-mode decomposition.
 
     The quadratic pairs satisfy exact rational identities inherited from the

@@ -400,4 +400,4 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
             eigenvalue = eigenvalue.re
         terms.append(EigenvalueTerm(eigenvalue, mult, coefficients))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
-    return ResolventPFD(matrix, tuple(terms))
+    return ResolventPFD(matrix, "complex", tuple(terms))

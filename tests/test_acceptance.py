@@ -106,7 +106,7 @@ def test_criterion_1_golden_pfd_and_chains(report, tmp_path):
         matrix_file.write_text("0 1 2\n-2 4 0\n-1 1 2\n")
         start = time.perf_counter()
         pfd = _decomposition(-1, GOLDEN_3X3_CHAINS)
-        (term,) = pfd.terms
+        (term,) = pfd.linear
         assert term.eigenvalue == 2 and term.multiplicity == 3
         assert term.coefficient(1) == Matrix.identity(3)
         assert term.coefficient(2) == Matrix.from_rows([[-2, 1, 2], [-2, 2, 0], [-1, 1, 0]])
@@ -226,7 +226,7 @@ def test_criterion_4_resolvent_reconstruction(random_suite, report):
         for index, (a, _) in enumerate(random_suite):
             n = a.nrows
             pfd = _decomposition(index, a)
-            eigenvalues = {term.eigenvalue for term in pfd.terms}
+            eigenvalues = {term.eigenvalue for term in pfd.linear}
             s0 = Fraction(n + 1)
             checked = 0
             while checked < 3:
@@ -250,7 +250,7 @@ def test_criterion_5_chain_basis_completeness(random_suite, report):
             by_eig = {lam: (alg, geo) for lam, alg, geo in spectrum}
             union = []
             complete = True
-            for idx, term in enumerate(pfd.terms):
+            for idx, term in enumerate(pfd.linear):
                 alg, geo = by_eig[term.eigenvalue]
                 try:
                     basis = select_chain_basis(pfd, idx)

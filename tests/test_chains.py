@@ -131,7 +131,7 @@ def test_select_basis_golden(golden_pfd):
 
 def test_select_basis_diagonalizable_pair():
     pfd = decompose(GOLDEN_3X3_IVP, "complex")
-    idx = next(i for i, t in enumerate(pfd.terms) if t.eigenvalue == 1)
+    idx = next(i for i, t in enumerate(pfd.linear) if t.eigenvalue == 1)
     basis = select_chain_basis(pfd, idx)
     assert [c.length for c in basis.chains] == [1, 1]
     assert [c.column for c in basis.chains] == [0, 1]
@@ -162,7 +162,7 @@ def test_basis_counts_match_structure(rng):
         spectrum_by_eig = {lam: (alg, geo) for lam, alg, geo in spectrum}
         all_vectors = []
         expected = 0
-        for idx, term in enumerate(pfd.terms):
+        for idx, term in enumerate(pfd.linear):
             alg, geo = spectrum_by_eig[term.eigenvalue]
             try:
                 basis = select_chain_basis(pfd, idx)
@@ -195,7 +195,7 @@ def test_select_basis_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for pfd in pfds:
-            for idx in range(len(pfd.terms)):
+            for idx in range(len(pfd.linear)):
                 try:
                     select_chain_basis(pfd, idx)
                 except IncompleteBasis:
@@ -208,7 +208,7 @@ def test_select_basis_leaves_no_cyclic_garbage():
 def test_gaussian_eigenvalue_chains():
     a = Matrix.from_rows([[5, 17], [-2, -5]])
     pfd = decompose(a, "complex")
-    for idx, term in enumerate(pfd.terms):
+    for idx, term in enumerate(pfd.linear):
         chains = extract_column_chains(pfd, idx)
         assert chains, "complex eigenvalues still produce chains"
         basis = select_chain_basis(pfd, idx)

@@ -47,7 +47,7 @@ def _real_pfd(a):
 
 
 def _term_for(pfd, eigenvalue):
-    for term in pfd.terms:
+    for term in pfd.linear:
         if term.eigenvalue == eigenvalue:
             return term
     raise KeyError(f"no term for eigenvalue {eigenvalue}")
@@ -55,7 +55,7 @@ def _term_for(pfd, eigenvalue):
 
 def test_golden_triple_eigenvalue_decomposition():
     pfd = _complex_pfd(GOLDEN_3X3_CHAINS)
-    (term,) = pfd.terms
+    (term,) = pfd.linear
     assert term.eigenvalue == 2
     assert term.multiplicity == 3
     assert term.coefficient(1) == Matrix.identity(3)
@@ -65,7 +65,7 @@ def test_golden_triple_eigenvalue_decomposition():
 
 def test_golden_distinct_real_decomposition():
     pfd = _complex_pfd(GOLDEN_2X2_DISTINCT)
-    by_eig = {term.eigenvalue: term for term in pfd.terms}
+    by_eig = {term.eigenvalue: term for term in pfd.linear}
     assert by_eig[Fraction(2)].coefficient(1) == Matrix.from_rows([[-3, -4], [3, 4]])
     assert by_eig[Fraction(3)].coefficient(1) == Matrix.from_rows([[4, 4], [-3, -3]])
 
@@ -73,7 +73,7 @@ def test_golden_distinct_real_decomposition():
 def test_scalar_matrix_single_term():
     a = Matrix.identity(3) * Fraction(5)
     pfd = _complex_pfd(a)
-    (term,) = pfd.terms
+    (term,) = pfd.linear
     assert term.eigenvalue == 5
     assert term.multiplicity == 3
     assert term.coefficient(1) == Matrix.identity(3)
@@ -83,7 +83,7 @@ def test_scalar_matrix_single_term():
 
 def test_nilpotent_undetermined():
     pfd = _complex_pfd(NILPOTENT_2X2, pfd_undetermined)
-    (term,) = pfd.terms
+    (term,) = pfd.linear
     assert term.eigenvalue == 0
     assert term.coefficient(1) == Matrix.identity(2)
     assert term.coefficient(2) == NILPOTENT_2X2
@@ -109,7 +109,7 @@ def test_cross_algorithm_random(rng):
 
 def test_golden_ivp_matrix_has_zero_second_coefficient():
     pfd = _complex_pfd(GOLDEN_3X3_IVP)
-    by_eig = {term.eigenvalue: term for term in pfd.terms}
+    by_eig = {term.eigenvalue: term for term in pfd.linear}
     assert by_eig[Fraction(1)].coefficient(1) == Matrix.from_rows(
         [[-2, 3, 1], [-3, 4, 1], [3, -3, 0]]
     )
@@ -126,11 +126,12 @@ def test_verify_passes_with_zero_coefficient_retained():
 
 def test_verify_detects_corruption():
     pfd = _complex_pfd(GOLDEN_3X3_CHAINS)
-    term = pfd.terms[0]
+    term = pfd.linear[0]
     from respfd.pfd import EigenvalueTerm, ResolventPFD
 
     swapped = ResolventPFD(
         pfd.matrix,
+        "complex",
         (
             EigenvalueTerm(
                 term.eigenvalue,
@@ -186,7 +187,7 @@ def test_real_mode_linear_part_matches_complex(rng):
         complex_pfd = _complex_pfd(a)
         real_pfd = _real_pfd(a)
         assert real_pfd.quadratic == ()
-        assert complex_pfd.terms == real_pfd.linear
+        assert complex_pfd.linear == real_pfd.linear
 
 
 MIXED_BLOCKS = ([[1, -2], [2, 1]], [[3, 1], [0, 3]], [[0, -1], [1, 0]], [[-1]])
@@ -251,7 +252,7 @@ def test_reconstruction_random_points(rng):
         a, _ = random_jordan_matrix(rng)
         n = a.nrows
         pfd = _complex_pfd(a)
-        eigenvalues = {term.eigenvalue for term in pfd.terms}
+        eigenvalues = {term.eigenvalue for term in pfd.linear}
         s0 = Fraction(n + 1)
         checked = 0
         while checked < 3:
@@ -288,4 +289,4 @@ def test_projector_family_random(rng):
         pfd = _complex_pfd(a)
         report = verify_pfd(a, pfd)
         assert all_passed(report), [r.name for r in report if not r.passed]
-        assert [term.multiplicity for term in pfd.terms] == [alg for _, alg, _ in spectrum]
+        assert [term.multiplicity for term in pfd.linear] == [alg for _, alg, _ in spectrum]
