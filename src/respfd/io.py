@@ -29,7 +29,7 @@ from .exponential import (
 from .linalg import Matrix
 from .pfd import CheckResult
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import GaussianRational, format_scalar, parse_rational, rational_sqrt, scalar_re
+from .scalars import format_scalar, is_rational, latex_scalar, parse_rational, rational_sqrt, scalar_re
 
 
 def parse_matrix(data) -> Matrix:
@@ -75,36 +75,9 @@ def matrix_to_file_text(m: Matrix) -> str:
 
 
 def scalar_to_json(x):
-    if isinstance(x, GaussianRational) and x.im != 0:
-        return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, GaussianRational):
-        return str(x.re)
-    return str(Fraction(x))
-
-
-def _latex_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
-
-
-def latex_scalar(x) -> str:
-    if isinstance(x, GaussianRational):
-        if x.im == 0:
-            return _latex_rational(x.re)
-        re_text = "" if x.re == 0 else _latex_rational(x.re)
-        if x.im == 1:
-            im_text = "i"
-        elif x.im == -1:
-            im_text = "-i"
-        else:
-            im_text = f"{_latex_rational(x.im)}i"
-        if re_text and not im_text.startswith("-"):
-            return f"{re_text}+{im_text}"
-        return f"{re_text}{im_text}"
-    return _latex_rational(x)
+    if is_rational(x):
+        return format_scalar(x)
+    return {"re": str(x.re), "im": str(x.im)}
 
 
 # What text and LaTeX spell differently: the scalar and the exponent.
@@ -116,10 +89,6 @@ def _power(base: str, k: int, fmt: str) -> str:
     return base if k == 1 else _POWER[fmt].format(base, k)
 
 
-def _nonreal(x) -> bool:
-    return isinstance(x, GaussianRational) and x.im != 0
-
-
 def _operand(x, fmt: str, coefficient: bool = False) -> str:
     """x inside a larger expression: the one rule for parentheses.
 
@@ -128,7 +97,7 @@ def _operand(x, fmt: str, coefficient: bool = False) -> str:
     LaTeX needs none there.
     """
     text = _SCALAR[fmt](x)
-    if _nonreal(x) or (coefficient and fmt == "text" and "/" in text):
+    if not is_rational(x) or (coefficient and fmt == "text" and "/" in text):
         return f"({text})"
     return text
 
@@ -137,14 +106,14 @@ def format_vector(v) -> str:
     return "[" + ", ".join(format_scalar(x) for x in v) + "]"
 
 
-def format_matrix_block(m: Matrix, indent: str = "  ") -> str:
-    """Aligned multi-line matrix rendering for text output."""
+def format_matrix_block(m: Matrix) -> str:
+    """Aligned multi-line matrix rendering for text output, rows indented four spaces."""
     cells = [[format_scalar(x) for x in row] for row in m.rows]
     widths = [max(len(cells[i][j]) for i in range(m.nrows)) for j in range(m.ncols)]
     lines = []
     for row in cells:
         padded = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        lines.append(f"{indent}[ {padded} ]")
+        lines.append(f"    [ {padded} ]")
     return "\n".join(lines)
 
 
@@ -172,7 +141,7 @@ def format_poly(p: Poly, fmt: str = "text") -> str:
         c = p.coeff(k)
         if not c:
             continue
-        negative = not _nonreal(c) and scalar_re(c) < 0
+        negative = is_rational(c) and scalar_re(c) < 0
         body = _operand(-c if negative else c, fmt, coefficient=k > 0)
         if k:
             body = ("" if body == "1" else body) + _power("s", k, fmt)
@@ -185,7 +154,7 @@ def format_poly(p: Poly, fmt: str = "text") -> str:
 
 def _linear(root, fmt: str) -> str:
     """s - root with a real root's sign folded in: s - 2, s + 1/2, s - (1+i), s."""
-    if _nonreal(root) or scalar_re(root) > 0:
+    if not is_rational(root) or scalar_re(root) > 0:
         return f"s - {_operand(root, fmt)}"
     return f"s + {_SCALAR[fmt](-root)}" if root else "s"
 
@@ -325,13 +294,13 @@ def render_pfd(pfd, fmt: str) -> str:
         lines.append(f"lambda = {format_scalar(term.eigenvalue)} (multiplicity {term.multiplicity})")
         for j in range(1, term.multiplicity + 1):
             lines.append(f"  B[{j}] =")
-            lines.append(format_matrix_block(term.coefficient(j), indent="    "))
+            lines.append(format_matrix_block(term.coefficient(j)))
     for quad in pfd.quadratic:
         lines.append(f"quadratic factor ({format_quadratic(quad.a, quad.d)})")
         lines.append("  P =")
-        lines.append(format_matrix_block(quad.p_matrix, indent="    "))
+        lines.append(format_matrix_block(quad.p_matrix))
         lines.append("  Q =")
-        lines.append(format_matrix_block(quad.q_matrix, indent="    "))
+        lines.append(format_matrix_block(quad.q_matrix))
     return "\n".join(lines) + "\n"
 
 
@@ -393,7 +362,7 @@ def render_exp(cf: ClosedFormExp, fmt: str) -> str:
     for idx, (basis, coeff) in enumerate(cf.terms):
         prefix = "  " if idx == 0 else "+ "
         lines.append(f"{prefix}{format_basis(basis)} *")
-        lines.append(format_matrix_block(coeff, indent="    "))
+        lines.append(format_matrix_block(coeff))
     return "\n".join(lines) + "\n"
 
 

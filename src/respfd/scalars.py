@@ -13,7 +13,8 @@ operator protocol, so polynomial and matrix code stays generic.
 
 Textual syntax used everywhere (files, CLI, JSON): integer ``-12``, rational
 ``p/q`` such as ``-3/4``, Gaussian rational ``re+im i`` such as ``-2+3i``.
-``parse_scalar(format_scalar(x)) == x`` holds bit-exactly.
+``parse_scalar(format_scalar(x)) == x`` holds bit-exactly.  latex_scalar
+spells the same values in LaTeX, with a LaTeX fraction for p/q.
 """
 
 from __future__ import annotations
@@ -215,22 +216,33 @@ def parse_scalar(token: str) -> Fraction | GaussianRational:
     return parse_rational(token)
 
 
+def _spell(x, rational) -> str:
+    """The case analysis of every scalar spelling; `rational` spells one Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return rational(Fraction(x))
+    if not isinstance(x, GaussianRational):
+        raise TypeError(f"unsupported scalar type: {type(x).__name__}")
+    if x.im == 0:
+        return rational(x.re)
+    im_text = "i" if x.im == 1 else "-i" if x.im == -1 else f"{rational(x.im)}i"
+    if x.re == 0:
+        return im_text
+    sign = "+" if x.im > 0 else ""
+    return f"{rational(x.re)}{sign}{im_text}"
+
+
 def format_scalar(x) -> str:
     """Render a scalar in the textual syntax parse_scalar understands."""
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
-    if isinstance(x, GaussianRational):
-        if x.im == 0:
-            return str(x.re)
-        im = x.im
-        if im == 1:
-            im_text = "i"
-        elif im == -1:
-            im_text = "-i"
-        else:
-            im_text = f"{im}i"
-        if x.re == 0:
-            return im_text
-        sign = "+" if im > 0 else ""
-        return f"{x.re}{sign}{im_text}"
-    raise TypeError(f"unsupported scalar type: {type(x).__name__}")
+    return _spell(x, str)
+
+
+def _latex_rational(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    sign = "-" if x < 0 else ""
+    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+
+
+def latex_scalar(x) -> str:
+    """The same spelling in LaTeX, with p/q as \\frac{p}{q}."""
+    return _spell(x, _latex_rational)
