@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from respfd.errors import EvalAtPole
+from respfd.exponential import decompose
+from respfd.io import render_pfd
 from respfd.linalg import Matrix, faddeev_leverrier, inverse
 from respfd.pfd import (
     all_passed,
@@ -188,6 +191,46 @@ def test_real_mode_linear_part_matches_complex(rng):
         real_pfd = _real_pfd(a)
         assert real_pfd.quadratic == ()
         assert complex_pfd.linear == real_pfd.linear
+
+
+@pytest.mark.parametrize(
+    "algorithm, mode, message",
+    [
+        (pfd_residue, "real", "pfd_residue requires a complex-mode factorization"),
+        (pfd_undetermined, "real", "pfd_undetermined requires a complex-mode factorization"),
+        (pfd_real, "complex", "pfd_real requires a real-mode factorization"),
+    ],
+)
+def test_algorithms_refuse_the_other_mode(algorithm, mode, message):
+    charpoly, adjugate = faddeev_leverrier(GOLDEN_2X2_DISTINCT)
+    factored = factor_charpoly(charpoly, mode)  # eigenvalues 2 and 3 factor in both modes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        algorithm(factored, adjugate, GOLDEN_2X2_DISTINCT)
+
+
+SURD_2X2 = Matrix.from_rows([[0, -2], [1, 0]])  # s^2 + 2: no Gaussian-rational roots
+
+
+@pytest.mark.parametrize(
+    "a, mode, expected, quadratics",
+    [
+        (GOLDEN_2X2_DISTINCT, "complex", "complex", 0),
+        (GOLDEN_2X2_DISTINCT, "real", "real", 0),
+        (GOLDEN_2X2_DISTINCT, "auto", "complex", 0),
+        (GOLDEN_2X2_ROTATION, "complex", "complex", 0),
+        (GOLDEN_2X2_ROTATION, "real", "real", 1),
+        (GOLDEN_2X2_ROTATION, "auto", "complex", 0),
+        (SURD_2X2, "real", "real", 1),
+        (SURD_2X2, "auto", "real", 1),
+    ],
+)
+def test_decompose_keeps_the_factorization_mode(a, mode, expected, quadratics):
+    charpoly, _ = faddeev_leverrier(a)
+    pfd = decompose(a, mode)
+    assert pfd.mode == factor_charpoly(charpoly, mode).mode == expected
+    assert len(pfd.quadratic) == quadratics
+    # a rational-only spectrum gives equal B_ij in both modes, so JSON reads the stored mode
+    assert json.loads(render_pfd(pfd, "json"))["mode"] == expected
 
 
 MIXED_BLOCKS = ([[1, -2], [2, 1]], [[3, 1], [0, 3]], [[0, -1], [1, 0]], [[-1]])
