@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, faddeev_leverrier, mat_vec, to_integral, vec_is_zero
+from .linalg import Matrix, faddeev_leverrier, mat_vec, vec_is_zero
 from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
 from .scalars import (
@@ -202,7 +202,7 @@ def _to_float(x):
 
 def _float_entries(m: Matrix) -> list:
     """m's entries, row-major, as floats (complex with an im plane); x / d rounds like float(Fraction(x, d))."""
-    re, im, d = to_integral(m)
+    re, im, d = m.re, m.im, m.d
     if im is None:
         return [x / d for x in re]
     return [complex(x / d, y / d) for x, y in zip(re, im)]

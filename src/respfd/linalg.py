@@ -431,8 +431,8 @@ class PolyMatrix:
         n = self.size
         if not self.coeff_matrices or not other.coeff_matrices:
             return PolyMatrix(n, ())
-        xs = [to_integral(c) for c in self.coeff_matrices]
-        ys = [to_integral(c) for c in other.coeff_matrices]
+        xs = [(c.re, c.im, c.d) for c in self.coeff_matrices]
+        ys = [(c.re, c.im, c.d) for c in other.coeff_matrices]
         out = []
         for k in range(len(xs) + len(ys) - 1):
             products = [
@@ -454,11 +454,6 @@ def s_identity_minus(a: Matrix) -> PolyMatrix:
 
 
 _QI_TYPES = {Fraction, GaussianRational, int, bool}
-
-
-def to_integral(m: Matrix) -> tuple[tuple, tuple | None, int]:
-    """The canonical planes (re, im, d) of m: m = (re + i*im) / d entrywise, im None when m is real."""
-    return m.re, m.im, m.d
 
 
 def entries_to_integral(entries: Sequence) -> tuple[list, list | None, int]:
@@ -519,7 +514,7 @@ def join_integral(x: tuple, y: tuple) -> tuple[list, list | None, int]:
 def combine_integral(terms: list) -> tuple[list, list | None, int]:
     """sum of g X / k over (g, k, X): g a Gaussian integer (re, im), k a positive int, X planes (re, im | None, d).
 
-    Returns the sum as canonical planes, in the layout of to_integral.
+    Returns the sum as canonical planes (re, im | None, d), the layout of a Matrix.
     """
     den = math.lcm(*(k * x[2] for _, k, x in terms))
     size = len(terms[0][2][0])
@@ -546,7 +541,7 @@ def linear_combination(weights: Sequence, matrices: Sequence) -> Matrix:
         if (m.nrows, m.ncols) != (first.nrows, first.ncols):
             raise DimensionMismatch(f"cannot add {first.nrows}x{first.ncols} and {m.nrows}x{m.ncols}")
     re, im, d = entries_to_integral(weights)
-    terms = [((x, y), d, to_integral(m)) for x, y, m in zip(re, im or [0] * len(re), matrices)]
+    terms = [((x, y), d, (m.re, m.im, m.d)) for x, y, m in zip(re, im or [0] * len(re), matrices)]
     return from_integral(*combine_integral(terms), first.nrows, first.ncols)
 
 
@@ -599,8 +594,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
         )
     if n == 0:
         return Poly.constant(Fraction(1)), PolyMatrix(0, ())
-    re, im, d = to_integral(a)
-    scaled = (re, im)
+    scaled = (a.re, a.im)
     diagonal = range(0, n * n, n + 1)
     b = ([int(k in diagonal) for k in range(n * n)], None)
     adj_coeffs = [from_integral(*b, 1, n, n)]  # B_k for s^{n-k}, collected high power first
@@ -613,7 +607,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
             if p is not None:
                 for t in diagonal:
                     p[t] += c
-        scale = d**k
+        scale = a.d**k
         coeffs[n - k] = (
             GaussianRational(Fraction(c_re, scale), Fraction(c_im, scale)) if c_im else Fraction(c_re, scale)
         )

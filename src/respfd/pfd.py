@@ -49,7 +49,6 @@ from .linalg import (
     linear_combination,
     rank,
     solve_integral,
-    to_integral,
 )
 from .polynomials import FactoredCharPoly, Poly
 from .scalars import Scalar, as_fraction, scalar_im, scalar_key, scalar_re
@@ -109,7 +108,7 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     charpoly = [as_fraction(c) for c in factored.expand().coeffs]
     h_den = math.lcm(*(c.denominator for c in charpoly))
     charpoly = [((c * h_den).numerator, 0) for c in charpoly]
-    numerators = [to_integral(c) for c in adjugate.coeff_matrices]
+    numerators = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
     terms = []
     for eigenvalue, mult in factored.linear:
         series = _residue_series(charpoly, h_den, numerators, eigenvalue, mult)
@@ -125,10 +124,10 @@ def _residue_series(charpoly: list, h_den: int, numerators: list, eigenvalue, mu
     w_jm = C(m,j) P^(m-j) e^(n-m) give [s^j] charpoly(s+lambda) = sum_m w_jm h_m
     / (h_den e^(n-j)), which must vanish for j < r; its coefficients r..2r-1 are
     the Taylor coefficients e_0..e_{r-1} of q.  With C_m = N_m / d_m (integer
-    planes from to_integral), only the r adjugate Taylor matrices
+    planes a Matrix stores), only the r adjugate Taylor matrices
     T_k = sum_m w_km N_m / (d_m e^(n-k)) are formed, and the series division
     a_k = (T_k - sum_t e_t a_{k-t}) / e_0 runs on whole matrices.
-    Returns each a_k as integer planes (see linalg.to_integral).
+    Returns each a_k as integer planes (re, im | None, d).
     """
     n = len(charpoly) - 1
     re, im = scalar_re(eigenvalue), scalar_im(eigenvalue)
@@ -227,8 +226,8 @@ def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_
     degree = max(adjugate.degree, *(poly.degree for poly in basis_polys))
     # the s^k coefficients of every basis polynomial, then of every adjugate entry
     coefficients = [
-        join_integral(entries_to_integral([p.coeff(k) for p in basis_polys]), to_integral(adjugate.coeff(k)))
-        for k in range(degree + 1)
+        join_integral(entries_to_integral([p.coeff(k) for p in basis_polys]), (c.re, c.im, c.d))
+        for k, c in enumerate(map(adjugate.coeff, range(degree + 1)))
     ]
     rows = [
         combine_integral([((u**k * v ** (degree - k), 0), v**degree, c) for k, c in enumerate(coefficients)])
