@@ -27,7 +27,7 @@ from .exponential import (
     IVPSolution,
 )
 from .linalg import Matrix
-from .pfd import CheckResult
+from .pfd import CheckResult, all_passed
 from .polynomials import FactoredCharPoly, Poly
 from .scalars import format_scalar, is_rational, latex_scalar, parse_rational, rational_sqrt, scalar_re
 
@@ -401,7 +401,7 @@ def render_general(gen: GeneralSolution, fmt: str) -> str:
 
 
 def render_verify(checks: list[CheckResult], fmt: str) -> str:
-    passed = all(c.passed for c in checks)
+    passed = all_passed(checks)
     if fmt == "json":
         payload = {
             "passed": passed,
