@@ -141,8 +141,7 @@ def _parse_times(text: str) -> list[float]:
 
 def _cmd_charpoly(a: Matrix, args, hints) -> str:
     charpoly, _ = faddeev_leverrier(a)
-    factored = factor_charpoly(charpoly, args.mode, hints)
-    return rio.render_charpoly(charpoly, factored, args.fmt)
+    return rio.render_charpoly(factor_charpoly(charpoly, args.mode, hints), args.fmt)
 
 
 def _cmd_pfd(a: Matrix, args, hints) -> str:

@@ -230,10 +230,10 @@ def _finish_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_charpoly(poly: Poly, factored: FactoredCharPoly, fmt: str) -> str:
+def render_charpoly(factored: FactoredCharPoly, fmt: str) -> str:
     if fmt == "json":
         payload = {
-            "charpoly": [str(c) for c in poly.coeffs],
+            "charpoly": [str(c) for c in factored.poly.coeffs],
             "mode": factored.mode,
             "linear": [
                 {"root": scalar_to_json(root), "multiplicity": mult}
@@ -243,10 +243,10 @@ def render_charpoly(poly: Poly, factored: FactoredCharPoly, fmt: str) -> str:
         }
         return _finish_json(payload)
     if fmt == "latex":
-        lines = [f"\\det(sI - A) = {format_poly(poly, fmt)}"]
+        lines = [f"\\det(sI - A) = {format_poly(factored.poly, fmt)}"]
         lines.append(f"= {format_factored(factored, fmt)}")
         return "\n".join(lines) + "\n"
-    lines = [f"det(sI - A) = {format_poly(poly)}"]
+    lines = [f"det(sI - A) = {format_poly(factored.poly)}"]
     lines.append(f"mode: {factored.mode}")
     lines.append(f"factors: {format_factored(factored)}")
     return "\n".join(lines) + "\n"

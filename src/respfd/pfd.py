@@ -51,7 +51,7 @@ from .linalg import (
     solve_integral,
 )
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import Scalar, as_fraction, scalar_im, scalar_key, scalar_re
+from .scalars import Scalar, scalar_im, scalar_key, scalar_re
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,8 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     if factored.mode != "complex":
         raise ValueError("pfd_residue requires a complex-mode factorization")
     n = adjugate.size
-    charpoly = [as_fraction(c) for c in factored.expand().coeffs]
-    h_den = math.lcm(*(c.denominator for c in charpoly))
-    charpoly = [((c * h_den).numerator, 0) for c in charpoly]
+    h_den = math.lcm(*(c.denominator for c in factored.poly.coeffs))
+    charpoly = [((c * h_den).numerator, 0) for c in factored.poly.coeffs]
     numerators = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
     terms = []
     for eigenvalue, mult in factored.linear:
@@ -194,17 +193,16 @@ def _basis(factored: FactoredCharPoly) -> list:
     then (s+a) charpoly/quad and charpoly/quad for each quadratic factor
     (s+a)^2 + d (real mode).
     """
-    charpoly = factored.expand()
     basis = []
     for eigenvalue, mult in factored.linear:
-        partial = charpoly
+        partial = factored.poly
         for _ in range(mult):
             partial, rem = divmod(partial, Poly.linear(eigenvalue))
             if not rem.is_zero:
                 raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
             basis.append(partial)
     for a, d in factored.quadratic:
-        cofactor, rem = divmod(charpoly, Poly((a * a + d, 2 * a, Fraction(1))))
+        cofactor, rem = divmod(factored.poly, Poly((a * a + d, 2 * a, Fraction(1))))
         if not rem.is_zero:
             raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
         basis += [cofactor * Poly((a, Fraction(1))), cofactor]

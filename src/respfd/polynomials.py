@@ -13,13 +13,14 @@ factorization per mode: complex mode splits each quadratic into a conjugate
 pair in Q(i), real mode keeps the quadratics with d > 0 (each simple), and
 auto takes the complex reading when it exists.  An irreducible factor of
 degree >= 3, or a quadratic the mode cannot read, raises IrrationalSpectrum
-naming that factor rather than approximating.
+naming that factor rather than approximating.  Each reading keeps the
+polynomial it factors (`poly`); `expand` is only the round-trip check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -167,7 +168,7 @@ class Poly:
 
 @dataclass(frozen=True)
 class FactoredCharPoly:
-    """Factorization of a monic rational polynomial into supported shapes.
+    """Factorization of a monic rational polynomial `poly` into supported shapes.
 
     mode "complex": linear factors only, roots in Q or Q(i).
     mode "real": rational linear factors plus simple irreducible quadratics,
@@ -177,18 +178,20 @@ class FactoredCharPoly:
     """
 
     mode: str
+    poly: Poly  # the polynomial factored, with Fraction coefficients
     linear: tuple = ()  # ((root, multiplicity), ...)
     quadratic: tuple = ()  # ((a, d), ...), real mode only
-    degree: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", tuple(self.linear))
         object.__setattr__(self, "quadratic", tuple(self.quadratic))
-        total = sum(m for _, m in self.linear) + 2 * len(self.quadratic)
-        object.__setattr__(self, "degree", total)
+
+    @property
+    def degree(self) -> int:
+        return sum(m for _, m in self.linear) + 2 * len(self.quadratic)
 
     def expand(self) -> Poly:
-        """Multiply all factors back out; the round-trip oracle for tests."""
+        """Multiply all factors back out; the round-trip check compares this with `poly`."""
         out = Poly.constant(Fraction(1))
         zero = (Fraction(0),)
         for root, mult in self.linear:
@@ -212,7 +215,7 @@ class FactoredCharPoly:
                 rational[as_fraction(root)] = mult
         for shape in self.quadratic:
             quadratic[shape] = 1
-        return _view(rational, quadratic, mode)
+        return _view(self.poly, rational, quadratic, mode)
 
 
 def _irreducible_factors(p: Poly) -> tuple[dict, dict]:
@@ -239,13 +242,13 @@ def _irreducible_factors(p: Poly) -> tuple[dict, dict]:
     return rational, quadratic
 
 
-def _view(rational: dict, quadratic: dict, mode: str) -> FactoredCharPoly:
-    """Read one factorization over Q in complex, real or auto mode."""
+def _view(p: Poly, rational: dict, quadratic: dict, mode: str) -> FactoredCharPoly:
+    """Read one factorization of p over Q in complex, real or auto mode."""
     if mode == "auto":
         try:
-            return _view(rational, quadratic, "complex")
+            return _view(p, rational, quadratic, "complex")
         except IrrationalSpectrum:
-            return _view(rational, quadratic, "real")
+            return _view(p, rational, quadratic, "real")
     linear, shapes = dict(rational), []
     for (a, d), mult in sorted(quadratic.items()):
         q = Poly((a * a + d, 2 * a, Fraction(1)))
@@ -268,11 +271,8 @@ def _view(rational: dict, quadratic: dict, mode: str) -> FactoredCharPoly:
             raise RepeatedQuadraticFactor(
                 f"quadratic factor {format_quadratic(a, d)} is repeated", quadratic=(a, d)
             )
-    return FactoredCharPoly(
-        mode=mode,
-        linear=tuple(sorted(linear.items(), key=lambda item: scalar_key(item[0]))),
-        quadratic=tuple(shapes),
-    )
+    linear = tuple(sorted(linear.items(), key=lambda item: scalar_key(item[0])))
+    return FactoredCharPoly(mode, p, linear, tuple(shapes))
 
 
 def _verify_hints(p: Poly, hints) -> None:
@@ -312,7 +312,7 @@ def factor_charpoly(p: Poly, mode: str, hints=None) -> FactoredCharPoly:
     p = Poly(tuple(as_fraction(c) for c in p.coeffs))
     hints = hints or []
     _verify_hints(p, hints)
-    result = _view(*_irreducible_factors(p), mode)
+    result = _view(p, *_irreducible_factors(p), mode)
     if result.mode == "real" and not all(is_rational(root) for root, _ in hints):
         raise HintMismatch("real mode accepts rational root hints only")
     if result.expand() != p:

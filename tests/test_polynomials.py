@@ -240,8 +240,31 @@ def test_hint_gaussian_rejected_in_real_mode():
 
 
 def test_factored_charpoly_degree_invariant():
-    f = FactoredCharPoly("real", ((Fraction(1), 2),), ((Fraction(0), Fraction(4)),))
+    f = FactoredCharPoly("real", P(4, -8, 5, -2, 1), ((Fraction(1), 2),), ((Fraction(0), Fraction(4)),))
     assert f.degree == 4
+
+
+# (s - 1)^2 (s + 1/2); (s^2 + 2s + 5)(s - 3), roots -1 +- 2i; (s^2 + 2)(s - 1), a real quadratic
+CARRIED = {
+    "rational": P(1, -2, 1) * P(Fraction(1, 2), 1),
+    "gaussian_pair": P(5, 2, 1) * P(-3, 1),
+    "real_quadratic": P(2, 0, 1) * P(-1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [(name, mode) for name in ("rational", "gaussian_pair") for mode in ("complex", "real", "auto")]
+    + [("real_quadratic", "real"), ("real_quadratic", "auto")],  # complex mode refuses s^2 + 2
+)
+def test_factorization_carries_its_polynomial(name, mode):
+    p = CARRIED[name]
+    f = factor_charpoly(p, mode)
+    assert f.poly == p
+    assert all(type(c) is Fraction for c in f.poly.coeffs)
+    assert f.view("real").poly == f.poly
+    if name != "real_quadratic":
+        assert f.view("complex").poly == f.poly
 
 
 def test_factor_requires_monic():
