@@ -19,9 +19,9 @@ planes, and every operation runs on Python ints:
                 adj(sI - A) in one O(n^4) sweep, self-checked by A B_n + c_0 I = 0.
 
 Fraction and GaussianRational entries exist only at the boundary: a Matrix is
-built from rows of them, and rows (built on first use, then kept), m[i, j],
-row and column return them.  An entry outside Q(i) raises TypeError.
-Vectors are plain tuples of scalars.
+built from rows of them; rows, m[i, j], row and column build them from the
+planes on each call, as Fractions when every entry returned is real.  An entry
+outside Q(i) raises TypeError.  Vectors are plain tuples of scalars.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ SIZE_LIMIT = 12
 class Matrix:
     """Immutable exact matrix over Q or Q(i), stored as canonical integer planes (re, im, d)."""
 
-    __slots__ = ("nrows", "ncols", "re", "im", "d", "_rows")
+    __slots__ = ("nrows", "ncols", "re", "im", "d")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(row) for row in rows)
@@ -55,7 +55,7 @@ class Matrix:
 
     def _set(self, nrows: int, ncols: int, re: Sequence, im: Sequence | None, d: int) -> None:
         planes = (tuple(re), None if im is None else tuple(im))
-        for name, value in zip(self.__slots__, (nrows, ncols, *planes, d, None)):
+        for name, value in zip(self.__slots__, (nrows, ncols, *planes, d)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -79,24 +79,27 @@ class Matrix:
     @property
     def rows(self) -> tuple:
         """The entries as row tuples of Fractions, or of GaussianRationals when some entry is non-real."""
-        if self._rows is None:
-            entries, n = _scalars(self.re, self.im, self.d), self.ncols
-            object.__setattr__(self, "_rows", tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(self.nrows)))
-        return self._rows
+        entries, n = self._entries(slice(None)), self.ncols
+        return tuple(entries[i * n : (i + 1) * n] for i in range(self.nrows))
+
+    def _entries(self, part: slice) -> tuple:
+        """The entries at the row-major positions `part` of the planes: Fractions when all of them are real."""
+        return tuple(_scalars(self.re[part], self.im and self.im[part], self.d))
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        i, j = key
-        return self.rows[i][j]
+        k = range(self.nrows)[key[0]] * self.ncols + range(self.ncols)[key[1]]
+        return self._entries(slice(k, k + 1))[0]
 
     def row(self, i: int) -> tuple:
-        return self.rows[i]
+        i = range(self.nrows)[i]
+        return self._entries(slice(i * self.ncols, (i + 1) * self.ncols))
 
     def column(self, j: int) -> tuple:
-        return tuple(map(operator.itemgetter(j), self.rows))
+        return self._entries(slice(range(self.ncols)[j], None, self.ncols))
 
     def _key(self) -> tuple:
         return self.nrows, self.ncols, self.d, self.re, self.im

@@ -37,7 +37,7 @@ from respfd.linalg import (
 )
 from respfd.pfd import _basis, _solve_undetermined, pfd_real, pfd_residue, reconstruct_resolvent, sample_points
 from respfd.polynomials import factor_charpoly
-from respfd.scalars import GaussianRational, scalar_im
+from respfd.scalars import GaussianRational, format_scalar, scalar_im, scalar_re
 from tests import reference
 from tests.conftest import block_diagonal, deadline, disguised
 
@@ -171,17 +171,40 @@ def _assert_planes(m: Matrix, expected: tuple) -> None:
     assert Matrix(m.rows) == m == Matrix(expected) and hash(Matrix(expected)) == hash(m)
     assert m.is_zero == all(not x for row in expected for x in row)
     assert m.is_rational_matrix() == real
+    for i, row in enumerate(expected):
+        _assert_read(m.row(i), row)
+        for j, x in enumerate(row):
+            _assert_read((m[i, j],), (x,))
+    for j, column in enumerate(zip(*expected)):
+        _assert_read(m.column(j), column)
+    _assert_read((m[-1, -1],), (expected[-1][-1],))
+    _assert_read(m.row(-1), expected[-1])
+    _assert_read(m.column(-1), tuple(row[-1] for row in expected))
+    for i, j in ((m.nrows, 0), (0, m.ncols)):
+        with pytest.raises(IndexError):
+            m[i, j]
+
+
+def _assert_read(got: tuple, expected: tuple) -> None:
+    """Entries read through one accessor: equal to the reference, spelled alike, Fractions exactly when all are real."""
+    assert got == expected
+    assert list(map(format_scalar, got)) == list(map(format_scalar, expected))
+    real = all(scalar_im(x) == 0 for x in expected)
+    assert all(type(x) is (Fraction if real else GaussianRational) for x in got)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_plane_arithmetic_matches_entrywise_reference(rng):
-    """+, -, negation, scalar * (0, Q, Q(i)), ==, hash, is_zero and rows against Fraction arithmetic on entries."""
+    """+, -, negation, scalar * (0, Q, Q(i)), ==, hash, is_zero, rows, m[i, j], row and column against entrywise Fraction arithmetic."""
     m, n = rng.randint(1, 12), rng.randint(1, 12)
     x_rows, y_rows = (_entries(rng, m, n, rng.choice(["rational", "gaussian", "mixed"])) for _ in range(2))
     x, y = Matrix(x_rows), Matrix(y_rows)
     scalars = [0, _scalar(rng, False), GaussianRational(_scalar(rng, False), Fraction(rng.randint(1, 9), 7))]
     _assert_planes(x, x_rows)
+    # a non-real matrix whose last column is real: that column reads as Fractions
+    widened = tuple(row + (GaussianRational(0, 1), scalar_re(row[0])) for row in x_rows)
+    _assert_planes(Matrix(widened), widened)
     _assert_planes(x + y, reference.add_rows(x_rows, y_rows))
     _assert_planes(x - y, reference.add_rows(x_rows, reference.scale_rows(y_rows, -1)))
     _assert_planes(x - x, reference.zero_rows(m, n))
