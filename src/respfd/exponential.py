@@ -224,7 +224,7 @@ def exp_eval(cf: ClosedFormExp, t: float) -> list[list[float]]:
     return [[z.real for z in row] for row in rows] if cf.matrix.is_rational_matrix() else rows
 
 
-def _float_mat_mul(x, y):
+def float_mat_mul(x, y):
     cols = list(zip(*y))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
 
@@ -253,14 +253,14 @@ def numeric_oracle_exp(a: Matrix, t: float) -> list[list[float]]:
     term = [row[:] for row in total]
     k = 1
     while k < 80:
-        term = _float_mat_mul(term, work)
+        term = float_mat_mul(term, work)
         term = [[v / k for v in row] for row in term]
         total = [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(total, term)]
         if _float_max_norm(term) <= 1e-16 * _float_max_norm(total):
             break
         k += 1
     for _ in range(m):
-        total = _float_mat_mul(total, total)
+        total = float_mat_mul(total, total)
     if a.is_rational_matrix():
         return [[float(v.real) for v in row] for row in total]
     return total

@@ -12,10 +12,10 @@ from fractions import Fraction
 from .chains import extract_column_chains, geometric_multiplicity, select_chain_basis
 from .errors import IncompleteBasis, IrrationalSpectrum, RepeatedQuadraticFactor
 from .exponential import (
-    _float_mat_mul,
     exp_derivative,
     exp_eval,
     exp_from_pfd,
+    float_mat_mul,
     numeric_oracle_exp,
     premultiply,
     relative_error,
@@ -120,7 +120,7 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
         checks.append(
             _float_check(
                 f"semigroup[{t1:g}+{t2:g}]", t1 + t2, SEMIGROUP_TOLERANCE,
-                lambda: (_float_mat_mul(exp_eval(cf, t1), exp_eval(cf, t2)), exp_eval(cf, t1 + t2)),
+                lambda: (float_mat_mul(exp_eval(cf, t1), exp_eval(cf, t2)), exp_eval(cf, t1 + t2)),
                 "relative error {:.3e}",
             )
         )
