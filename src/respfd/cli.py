@@ -18,14 +18,9 @@ from . import io as rio
 from .chains import extract_column_chains
 from .errors import (
     EmptyMatrix,
-    EvalAtPole,
-    HintMismatch,
-    IncompleteBasis,
     IrrationalSpectrum,
     MatrixParseError,
-    MatrixTooLarge,
     NonSquareMatrix,
-    RepeatedQuadraticFactor,
     RespfdError,
     SelfCheckFailed,
 )
@@ -35,15 +30,6 @@ from .pfd import all_passed
 from .polynomials import factor_charpoly
 from .scalars import parse_rational, parse_scalar
 from .verify import verification_report
-
-_STAGE_BY_ERROR = {
-    IrrationalSpectrum: "factor",
-    RepeatedQuadraticFactor: "factor",
-    HintMismatch: "factor",
-    MatrixTooLarge: "input",
-    EvalAtPole: "reconstruct",
-    IncompleteBasis: "chains",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +211,7 @@ def run(argv) -> tuple[int, str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         return 2, "", f"input: {exc}\n"
     except RespfdError as exc:
-        stage = _STAGE_BY_ERROR.get(type(exc), "pipeline")
-        return 1, "", f"{stage}: {type(exc).__name__}: {exc}\n"
+        return 1, "", f"{exc.stage}: {type(exc).__name__}: {exc}\n"
     except SelfCheckFailed as exc:
         return 3, "", f"{exc.stage}: internal self-check failed: {exc}\n"
 

@@ -2,7 +2,8 @@
 
 Domain errors (unfactorable spectra, inconsistent systems, ...) are distinct
 from usage errors (bad matrix files, bad flags) and from failed internal
-self-checks, so the CLI can map them to different exit codes.
+self-checks, so the CLI can map them to different exit codes.  Both carry the
+pipeline stage, `stage`, that the CLI names on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 class RespfdError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    stage = "pipeline"
+
 
 class DimensionMismatch(RespfdError):
     """Matrix or vector dimensions are incompatible for the operation."""
@@ -18,6 +21,8 @@ class DimensionMismatch(RespfdError):
 
 class MatrixTooLarge(RespfdError):
     """Exact adjugate cost grows fast; sizes beyond the soft limit are refused."""
+
+    stage = "input"
 
 
 class InconsistentSystem(RespfdError):
@@ -34,6 +39,8 @@ class IrrationalSpectrum(RespfdError):
     Carries the unfactorable residual so error messages can name it.
     """
 
+    stage = "factor"
+
     def __init__(self, message: str, residual=None):
         super().__init__(message)
         self.residual = residual
@@ -41,6 +48,8 @@ class IrrationalSpectrum(RespfdError):
 
 class RepeatedQuadraticFactor(RespfdError):
     """Real mode requires simple irreducible quadratic factors."""
+
+    stage = "factor"
 
     def __init__(self, message: str, quadratic=None):
         super().__init__(message)
@@ -50,9 +59,13 @@ class RepeatedQuadraticFactor(RespfdError):
 class HintMismatch(RespfdError):
     """A user-supplied root hint failed exact verification."""
 
+    stage = "factor"
+
 
 class EvalAtPole(RespfdError):
     """The resolvent cannot be evaluated at an eigenvalue."""
+
+    stage = "reconstruct"
 
 
 class NotAGeneralizedEigenvector(RespfdError):
@@ -61,6 +74,8 @@ class NotAGeneralizedEigenvector(RespfdError):
 
 class IncompleteBasis(RespfdError):
     """Column chains failed to span the generalized eigenspace."""
+
+    stage = "chains"
 
 
 class SelfCheckFailed(AssertionError):

@@ -17,7 +17,7 @@ The derivative of a closed form lands on the same basis, which turns
 d/dt e^{tA} = A e^{tA} into an exact coefficient-by-coefficient identity
 checked without any floating point.  Numeric evaluation and the independent
 scaling-and-squaring oracle live here too, as the only float code in the
-package.
+package: row-major lists of n^2 values, multiplied by linalg.flat_matmul.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, faddeev_leverrier, mat_vec, vec_is_zero
+from .linalg import Matrix, faddeev_leverrier, flat_matmul, mat_vec, vec_is_zero
 from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
 from .scalars import (
@@ -208,68 +208,57 @@ def _float_entries(m: Matrix) -> list:
     return [complex(x / d, y / d) for x, y in zip(re, im)]
 
 
-def exp_eval(cf: ClosedFormExp, t: float) -> list[list[float]]:
-    """Numeric value of the closed form at time t.
+def exp_eval(cf: ClosedFormExp, t: float) -> list:
+    """Numeric value of the closed form at time t, row-major.
 
     Conjugate complex-mode terms cancel imaginary parts exactly for rational
     input matrices, so the real parts are returned.
     """
-    n = cf.size
-    acc = [0j] * (n * n)
+    acc = [0j] * cf.size ** 2
     for (basis, _), entries in zip(cf.terms, cf.float_coefficients):
         w = basis.value_at(t)
         for k, x in entries:
             acc[k] += x * w
-    rows = [acc[i * n : (i + 1) * n] for i in range(n)]
-    return [[z.real for z in row] for row in rows] if cf.matrix.is_rational_matrix() else rows
+    return [z.real for z in acc] if cf.matrix.is_rational_matrix() else acc
 
 
-def float_mat_mul(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
-
-
-def _float_max_norm(x) -> float:
-    return max((abs(v) for row in x for v in row), default=0.0)
-
-
-def numeric_oracle_exp(a: Matrix, t: float) -> list[list[float]]:
-    """Independent floating-point e^{tA}: scaling and squaring, Taylor core.
+def numeric_oracle_exp(a: Matrix, t: float) -> list:
+    """Independent floating-point e^{tA}, row-major: scaling and squaring, Taylor core.
 
     Scales by 2^{-m} until the infinity norm is at most 1/2, sums the Taylor
     series until the relative tail drops below 1e-16, then squares m times.
     """
     n = a.nrows
-    entries = _float_entries(a)
-    work = [[x * t for x in entries[i * n : (i + 1) * n]] for i in range(n)]
-    norm = max((sum(abs(v) for v in row) for row in work), default=0.0)
+    work = [x * t for x in _float_entries(a)]
+    norm = max((sum(map(abs, work[i * n : (i + 1) * n])) for i in range(n)), default=0.0)
+    if not math.isfinite(norm):
+        raise OverflowError(f"the norm of tA is not finite at t={t:g}")
     m = 0
     while norm > 0.5:
         norm /= 2.0
         m += 1
     scale = 2.0 ** m
-    work = [[v / scale for v in row] for row in work]
-    total = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    term = [row[:] for row in total]
+    work = [v / scale for v in work]
+    total = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)]
+    term = total[:]
     k = 1
     while k < 80:
-        term = float_mat_mul(term, work)
-        term = [[v / k for v in row] for row in term]
-        total = [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(total, term)]
-        if _float_max_norm(term) <= 1e-16 * _float_max_norm(total):
+        term = [v / k for v in flat_matmul(term, work, n, n, n)]
+        total = [p + q for p, q in zip(total, term)]
+        if max(map(abs, term), default=0.0) <= 1e-16 * max(map(abs, total), default=0.0):
             break
         k += 1
     for _ in range(m):
-        total = float_mat_mul(total, total)
+        total = flat_matmul(total, total, n, n, n)
     if a.is_rational_matrix():
-        return [[float(v.real) for v in row] for row in total]
+        return [float(v.real) for v in total]
     return total
 
 
 def relative_error(x, y) -> float:
-    """Max-norm relative difference, normalized by the max-norm of y."""
-    diff = max(abs(a - b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y))
-    denom = _float_max_norm(y)
+    """Max-norm relative difference of two row-major lists, normalized by the max-norm of y."""
+    diff = max(abs(a - b) for a, b in zip(x, y))
+    denom = max(map(abs, y), default=0.0)
     return diff / denom if denom else diff
 
 

@@ -8,7 +8,8 @@ planes, and every operation runs on Python ints:
 
   arithmetic    +, -, negation and scalar * (a Q or Q(i) scalar) are one
                 combine_integral; ==, hash and is_zero compare the planes.
-  products      Matrix @ and mat_vec are one integer product over d_x d_y;
+  products      flat_matmul, on flat row-major lists, is the one product loop.
+                Matrix @ and mat_vec are one integer product over d_x d_y;
                 PolyMatrix @ sums each output coefficient in one accumulator.
   elimination   det, rank, nullspace, solve_many and inverse divide each row
                 slice of the planes by its content and run Bareiss'
@@ -548,8 +549,8 @@ def linear_combination(weights: Sequence, matrices: Sequence) -> Matrix:
     return from_integral(*combine_integral(terms), first.nrows, first.ncols)
 
 
-def _int_matmul(x: list, y: list, m: int, k: int, n: int) -> list:
-    """Row-major (m x k)(k x n) product of flat int lists."""
+def flat_matmul(x: list, y: list, m: int, k: int, n: int) -> list:
+    """Row-major (m x k)(k x n) product of flat row-major lists of ints, floats or complex numbers."""
     rows = [x[i * k : (i + 1) * k] for i in range(m)]
     cols = [y[j::n] for j in range(n)]
     return [sum(map(operator.mul, row, col)) for row in rows for col in cols]
@@ -558,13 +559,13 @@ def _int_matmul(x: list, y: list, m: int, k: int, n: int) -> list:
 def _plane_matmul(x: tuple, y: tuple, m: int, k: int, n: int) -> tuple:
     """(m x k)(k x n) product of Gaussian-integer matrices given as (re, im) flat planes, im None when zero."""
     (xr, xi), (yr, yi) = x, y
-    re = _int_matmul(xr, yr, m, k, n)
+    re = flat_matmul(xr, yr, m, k, n)
     if xi is not None and yi is not None:
-        re = [u - v for u, v in zip(re, _int_matmul(xi, yi, m, k, n))]
+        re = [u - v for u, v in zip(re, flat_matmul(xi, yi, m, k, n))]
     im = None
     for u, v in ((xr, yi), (xi, yr)):
         if u is not None and v is not None:
-            p = _int_matmul(u, v, m, k, n)
+            p = flat_matmul(u, v, m, k, n)
             im = p if im is None else [s + t for s, t in zip(im, p)]
     return re, im
 

@@ -24,6 +24,11 @@ of the oracle:
   series_div            -- truncated power-series quotient,
   faddeev_leverrier     -- the Faddeev-LeVerrier sweep on exact scalars,
   pfd_residue           -- Taylor shift + series division per matrix entry.
+
+The float checks once kept their matrices as lists of rows, multiplied by a
+generator product of their own.  nested_oracle_exp, nested_mat_mul and
+nested_relative_error are those versions, so the tests can demand that the
+row-major results are the same floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -401,3 +406,60 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
         terms.append(EigenvalueTerm(eigenvalue, mult, coefficients))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, "complex", tuple(terms))
+
+
+def _float_entries(m: Matrix) -> list:
+    """m's entries, row-major, as floats (complex with an im plane); x / d rounds like float(Fraction(x, d))."""
+    re, im, d = m.re, m.im, m.d
+    if im is None:
+        return [x / d for x in re]
+    return [complex(x / d, y / d) for x, y in zip(re, im)]
+
+
+def nested_mat_mul(x, y):
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+
+def _nested_max_norm(x) -> float:
+    return max((abs(v) for row in x for v in row), default=0.0)
+
+
+def nested_oracle_exp(a: Matrix, t: float) -> list[list[float]]:
+    """Independent floating-point e^{tA}: scaling and squaring, Taylor core.
+
+    Scales by 2^{-m} until the infinity norm is at most 1/2, sums the Taylor
+    series until the relative tail drops below 1e-16, then squares m times.
+    """
+    n = a.nrows
+    entries = _float_entries(a)
+    work = [[x * t for x in entries[i * n : (i + 1) * n]] for i in range(n)]
+    norm = max((sum(abs(v) for v in row) for row in work), default=0.0)
+    m = 0
+    while norm > 0.5:
+        norm /= 2.0
+        m += 1
+    scale = 2.0 ** m
+    work = [[v / scale for v in row] for row in work]
+    total = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    term = [row[:] for row in total]
+    k = 1
+    while k < 80:
+        term = nested_mat_mul(term, work)
+        term = [[v / k for v in row] for row in term]
+        total = [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(total, term)]
+        if _nested_max_norm(term) <= 1e-16 * _nested_max_norm(total):
+            break
+        k += 1
+    for _ in range(m):
+        total = nested_mat_mul(total, total)
+    if a.is_rational_matrix():
+        return [[float(v.real) for v in row] for row in total]
+    return total
+
+
+def nested_relative_error(x, y) -> float:
+    """Max-norm relative difference, normalized by the max-norm of y."""
+    diff = max(abs(a - b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y))
+    denom = _nested_max_norm(y)
+    return diff / denom if denom else diff

@@ -227,7 +227,14 @@ def test_bad_hint_exits_1(write, tmp_path):
     hints.write_text("7 1\n")
     code, _, err = run(["charpoly", write(GOLDEN_CHAINS_FILE), "--roots", str(hints)])
     assert code == 1
-    assert "HintMismatch" in err
+    assert err == "factor: HintMismatch: hinted root 7 does not annihilate the polynomial\n"
+
+
+def test_too_large_matrix_names_the_input_stage(write):
+    identity_13 = "".join(" ".join("1" if i == j else "0" for j in range(13)) + "\n" for i in range(13))
+    code, out, err = run(["charpoly", write(identity_13)])
+    assert (code, out) == (1, "")
+    assert err == "input: MatrixTooLarge: matrix size 13 exceeds the supported limit of 12\n"
 
 
 def test_stdin_input():
@@ -280,6 +287,17 @@ def test_verify_float_overflow_is_named_fail(write):
     assert err == ""
     assert "FAIL  oracle[t=1000]" in out and "float overflow at t=1000" in out
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "rows, t", [("0 3\n0 0\n", "1e308"), ("0 10000000000\n0 0\n", "1e300")], ids=["3_at_1e308", "1e10_at_1e300"]
+)
+def test_verify_overflowing_oracle_norm_is_named_fail(write, rows, t):
+    # t A overflows to inf: the oracle's scaling loop must stop and name the overflow
+    with deadline(10):
+        code, out, err = run(["verify", write(rows), "--t", t])
+    assert (code, err) == (1, "")
+    assert f"FAIL  oracle[t={float(t):g}]" in out and f"float overflow at t={float(t):g}" in out
 
 
 @pytest.mark.parametrize("times", ["nan", "inf", "0.1,-inf"])

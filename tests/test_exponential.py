@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from respfd.exponential import (
@@ -18,7 +19,9 @@ from respfd.exponential import (
     sin_basis,
     solve_ivp,
 )
-from respfd.linalg import Matrix
+from respfd.linalg import Matrix, flat_matmul
+from respfd.scalars import GaussianRational
+from tests import reference
 from tests.conftest import (
     GOLDEN_2X2_DISTINCT,
     GOLDEN_2X2_ROTATION,
@@ -27,6 +30,8 @@ from tests.conftest import (
     GOLDEN_3X3_SPIRAL,
     GOLDEN_MATRICES,
     NILPOTENT_2X2,
+    block_diagonal,
+    disguised,
     random_jordan_matrix,
 )
 from tests.surds import SqrtExt, coefficient_of, sin_coefficient_materialized
@@ -139,17 +144,17 @@ def test_derivative_identity_random(rng):
 
 def test_exp_eval_at_zero_and_nilpotent_time_two():
     cf = matrix_exponential(NILPOTENT_2X2)
-    assert exp_eval(cf, 0.0) == [[1.0, 0.0], [0.0, 1.0]]
-    assert exp_eval(cf, 2.0) == [[1.0, 2.0], [0.0, 1.0]]
+    assert exp_eval(cf, 0.0) == [1.0, 0.0, 0.0, 1.0]
+    assert exp_eval(cf, 2.0) == [1.0, 2.0, 0.0, 1.0]
 
 
 def test_oracle_identity_and_diagonal():
-    assert numeric_oracle_exp(Matrix.zeros(2, 2), 0.0) == [[1.0, 0.0], [0.0, 1.0]]
+    assert numeric_oracle_exp(Matrix.zeros(2, 2), 0.0) == [1.0, 0.0, 0.0, 1.0]
     diag = Matrix.from_rows([[2, 0], [0, 3]])
     value = numeric_oracle_exp(diag, 1.0)
-    assert abs(value[0][0] - math.exp(2)) < 1e-12 * math.exp(2)
-    assert abs(value[1][1] - math.exp(3)) < 1e-12 * math.exp(3)
-    assert value[0][1] == value[1][0] == 0.0
+    assert abs(value[0] - math.exp(2)) < 1e-12 * math.exp(2)
+    assert abs(value[3] - math.exp(3)) < 1e-12 * math.exp(3)
+    assert value[1] == value[2] == 0.0
 
 
 def test_oracle_agreement_golden():
@@ -166,13 +171,13 @@ def test_semigroup_property_numeric():
         cf = matrix_exponential(a)
         for t1, t2 in ((0.1, 0.2), (0.5, 0.5)):
             left = exp_eval(cf, t1 + t2)
-            prod = _mat_mul_float(exp_eval(cf, t1), exp_eval(cf, t2))
+            prod = _mat_mul_float(exp_eval(cf, t1), exp_eval(cf, t2), a.nrows)
             assert relative_error(prod, left) <= 1e-8
 
 
-def _mat_mul_float(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+def _mat_mul_float(x, y, n):
+    """Row-major n x n product, written out independently of linalg.flat_matmul."""
+    return [sum(x[i * n + k] * y[k * n + j] for k in range(n)) for i in range(n) for j in range(n)]
 
 
 def test_real_and_complex_modes_agree_numerically():
@@ -223,7 +228,7 @@ def test_solve_ivp_matches_oracle_numerically():
     sol = solve_ivp(GOLDEN_3X3_IVP, (1, -1, 2), "real")
     for t in (0.25, 1.0):
         oracle = numeric_oracle_exp(GOLDEN_3X3_IVP, t)
-        expected = [sum(row[j] * [1.0, -1.0, 2.0][j] for j in range(3)) for row in oracle]
+        expected = [sum(oracle[3 * i + j] * [1.0, -1.0, 2.0][j] for j in range(3)) for i in range(3)]
         got = sol.eval_at(t)
         assert max(abs(p - q) for p, q in zip(got, expected)) <= 1e-9 * max(
             1.0, max(abs(v) for v in expected)
@@ -272,3 +277,35 @@ def test_oracle_agreement_random(rng):
         for t in (0.1, 1.0):
             err = relative_error(exp_eval(cf, t), numeric_oracle_exp(a, t))
             assert err <= 1e-9
+
+
+def _rows(flat: list, n: int) -> list:
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
+
+
+def test_flat_float_results_are_the_nested_reference_bit_for_bit():
+    # the row-major float checks must give the very floats the nested-row versions gave;
+    # both sides are computed here, since builtin sum rounds differently across Python versions
+    cases = [(a, mode) for a in GOLDEN_MATRICES for mode in ("complex", "real")]
+    rng = random.Random(13)
+    cases += [(random_jordan_matrix(rng, n)[0], "complex") for n in range(2, 13)]
+    qi_pairs = block_diagonal([[1, -2], [2, 1]], [[0, -3], [3, 0]], [[-1, -1], [1, -1]], [[2]])
+    cases += [(disguised(qi_pairs, 5), mode) for mode in ("complex", "real")]
+    # Gaussian entries whose spectrum i, i, -i, -i, 1 + 2i, 1 - 2i has a rational characteristic polynomial
+    i, minus_i = GaussianRational(0, 1), GaussianRational(0, -1)
+    diagonal = [i, i, minus_i, minus_i, GaussianRational(1, 2), GaussianRational(1, -2)]
+    jordan = [[diagonal[r] if r == c else int((r, c) in ((0, 1), (2, 3))) for c in range(6)] for r in range(6)]
+    cases.append((disguised(Matrix.from_rows(jordan), 2), "complex"))
+    for a, mode in cases:
+        n = a.nrows
+        cf = matrix_exponential(a, mode)
+        for t in (0.1, 0.5, 1.0, 7.0, -0.25):
+            closed, half = exp_eval(cf, t), exp_eval(cf, 0.5 * t)
+            oracle, nested_oracle = numeric_oracle_exp(a, t), reference.nested_oracle_exp(a, t)
+            assert repr(_rows(oracle, n)) == repr(nested_oracle), (a, mode, t)
+            product = flat_matmul(closed, half, n, n, n)
+            nested_product = reference.nested_mat_mul(_rows(closed, n), _rows(half, n))
+            assert repr(_rows(product, n)) == repr(nested_product), (a, mode, t)
+            for x, y in ((closed, oracle), (product, closed), (half, closed)):
+                nested = reference.nested_relative_error(_rows(x, n), _rows(y, n))
+                assert repr(relative_error(x, y)) == repr(nested), (a, mode, t)
