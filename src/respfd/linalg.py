@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge, SelfCheckFailed
 from .polynomials import Poly

@@ -12,17 +12,18 @@ and are cross-checked against each other (the test suite, `respfd verify`):
                        it uses, formed as integer linear combinations of the
                        adjugate's numerator planes, then one truncated series
                        division on whole matrices,
-  pfd_undetermined  -- undetermined matrix coefficients: evaluate the
-                       polynomial identity at n rational sample points as
-                       integer rows and solve the resulting exact linear
-                       system by fraction-free elimination.
+  pfd_undetermined  -- undetermined matrix coefficients: at n rational
+                       sample points s0, charpoly(s0) times the basis values
+                       1/(s0 - lambda_i)^j and the entries of adj(s0 I - A)
+                       form integer rows of one exact linear system, solved
+                       by fraction-free elimination.
 
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
 the sqrt(d) scale so that P and Q are rational matrices.  pfd_real is the
-undetermined-coefficient solve with two more basis polynomials per quadratic
-factor: pfd_undetermined and pfd_real both build their basis and read the
-matrices solved by one sample-point solver, _solve_undetermined.
+same solve, _solve_undetermined, with the two more basis values (s0+a)/quad
+and 1/quad per quadratic factor.  _basis_at gives the basis values at one
+point, for the solve and for reconstruct_resolvent; no basis polynomial is built.
 
 Each algorithm returns one ResolventPFD: `mode`, `linear` (EigenvalueTerm,
 ...) and `quadratic` (QuadraticTerm, ..., empty in complex mode).
@@ -50,7 +51,7 @@ from .linalg import (
     rank,
     solve_integral,
 )
-from .polynomials import FactoredCharPoly, Poly
+from .polynomials import FactoredCharPoly
 from .scalars import Scalar, scalar_im, scalar_key, scalar_re
 
 
@@ -186,52 +187,51 @@ def sample_points(count: int, eigenvalues, n: int) -> list:
     return taken
 
 
-def _basis(factored: FactoredCharPoly) -> list:
-    """The basis polynomials of the undetermined-coefficient identity, in solve order.
+def _basis_at(linear, quadratic, s0: Scalar) -> list:
+    """The decomposition's basis values at s0, in solve order.
 
-    charpoly/(s - lambda_i)^j for each eigenvalue lambda_i and j = 1..r_i,
-    then (s+a) charpoly/quad and charpoly/quad for each quadratic factor
-    (s+a)^2 + d (real mode).
+    1/(s0 - lambda)^j for j = 1..r per (lambda, r) in linear, then
+    (s0+a)/quad(s0) and 1/quad(s0) per (a, d) in quadratic, quad = (s+a)^2 + d.
+    Raises EvalAtPole when s0 is an eigenvalue or a root of a quadratic factor.
     """
-    basis = []
-    for eigenvalue, mult in factored.linear:
-        partial = factored.poly
+    values = []
+    for eigenvalue, mult in linear:
+        delta = s0 - eigenvalue
+        if not delta:
+            raise EvalAtPole(f"{s0} is an eigenvalue of the matrix")
+        power = inv = 1 / delta
         for _ in range(mult):
-            partial, rem = divmod(partial, Poly.linear(eigenvalue))
-            if not rem.is_zero:
-                raise SelfCheckFailed("pfd", "eigenvalue does not divide the characteristic polynomial")
-            basis.append(partial)
-    for a, d in factored.quadratic:
-        cofactor, rem = divmod(factored.poly, Poly((a * a + d, 2 * a, Fraction(1))))
-        if not rem.is_zero:
-            raise SelfCheckFailed("pfd", "quadratic factor does not divide the characteristic polynomial")
-        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
-    return basis
+            values.append(power)
+            power = power * inv
+    for a, d in quadratic:
+        shifted = s0 + a
+        denom = shifted * shifted + d
+        if not denom:
+            raise EvalAtPole(f"{s0} is a root of a quadratic factor")
+        values += [shifted / denom, 1 / denom]
+    return values
 
 
-def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_polys: list) -> list:
-    """The matrices X_k of adj(sI-A) = sum_k X_k basis_polys[k](s), in basis order.
+def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix) -> list:
+    """The matrices X_k of adj(sI-A) = charpoly(s) sum_k X_k basis_k(s), in solve order.
 
     Evaluating the identity at one rational non-eigenvalue point per unknown
     gives one exact linear system shared by every matrix entry; the n^2
-    right-hand sides are the entries of adj(s0 I - A).  The row of s0 = u/v
-    (basis values, then adjugate entries) is one combine_integral of the s^k
-    coefficient planes with weights u^k v^(deg-k) over v^deg, and
-    solve_integral eliminates those integer rows as they are.
+    right-hand sides are the entries of adj(s0 I - A).  The row of s0 = u/v is
+    charpoly(s0) times the basis values _basis_at(s0), joined with one
+    combine_integral of the adjugate's s^k coefficient planes with weights
+    u^k v^(deg-k) over v^deg; solve_integral eliminates those integer rows.
     """
-    n = adjugate.size
-    points = sample_points(len(basis_polys), [root for root, _ in factored.linear], n)
-    degree = max(adjugate.degree, *(poly.degree for poly in basis_polys))
-    # the s^k coefficients of every basis polynomial, then of every adjugate entry
-    coefficients = [
-        join_integral(entries_to_integral([p.coeff(k) for p in basis_polys]), (c.re, c.im, c.d))
-        for k, c in enumerate(map(adjugate.coeff, range(degree + 1)))
-    ]
-    rows = [
-        combine_integral([((u**k * v ** (degree - k), 0), v**degree, c) for k, c in enumerate(coefficients)])
-        for u, v in (s0.as_integer_ratio() for s0 in points)
-    ]
-    solution, den = solve_integral(rows, len(basis_polys))
+    n, degree = adjugate.size, adjugate.degree
+    coefficients = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
+    rows = []
+    for s0 in sample_points(factored.degree, factored.eigenvalues(), n):
+        u, v = s0.as_integer_ratio()
+        charpoly = factored.poly.eval(s0)
+        basis = entries_to_integral([charpoly * b for b in _basis_at(factored.linear, factored.quadratic, s0)])
+        weights = [((u**k * v ** (degree - k), 0), v**degree, c) for k, c in enumerate(coefficients)]
+        rows.append(join_integral(basis, combine_integral(weights)))
+    solution, den = solve_integral(rows, factored.degree)
     return [from_integral(*planes, den, n, n) for planes in solution]
 
 
@@ -254,8 +254,8 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
 
     Linear factors contribute B_ij exactly as in complex mode; each quadratic
     factor (s+a)^2 + d contributes the pair (P, Q) of the term
-    ((s+a) P + Q)/((s+a)^2 + d), i.e. two more basis polynomials
-    (s+a) charpoly/quad and charpoly/quad.  All stored matrices are rational.
+    ((s+a) P + Q)/((s+a)^2 + d), i.e. two more basis values
+    (s+a)/quad and 1/quad.  All stored matrices are rational.
     """
     if factored.mode != "real":
         raise ValueError("pfd_real requires a real-mode factorization")
@@ -264,7 +264,7 @@ def pfd_real(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -
 
 def _undetermined_pfd(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix) -> ResolventPFD:
     """The solved matrices read in basis order: B_i1..B_ir per eigenvalue, then (P, Q) per quadratic."""
-    solved = iter(_solve_undetermined(factored, adjugate, _basis(factored)))
+    solved = iter(_solve_undetermined(factored, adjugate))
     linear = tuple(
         EigenvalueTerm(eigenvalue, mult, tuple(next(solved) for _ in range(mult)))
         for eigenvalue, mult in factored.linear
@@ -279,24 +279,10 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
     Raises EvalAtPole when s0 is an eigenvalue (or, real mode, a root of a
     quadratic factor, which cannot happen for real rational s0).
     """
-    weights, matrices = [], []
-    for term in pfd.linear:
-        delta = s0 - term.eigenvalue
-        if not delta:
-            raise EvalAtPole(f"{s0} is an eigenvalue of the matrix")
-        inv = 1 / delta
-        power = inv
-        for j in range(1, term.multiplicity + 1):
-            weights.append(power)
-            matrices.append(term.coefficient(j))
-            power = power * inv
-    for quad in pfd.quadratic:
-        shifted = s0 + quad.a
-        denom = shifted * shifted + quad.d
-        if not denom:
-            raise EvalAtPole(f"{s0} is a root of a quadratic factor")
-        weights += [shifted / denom, 1 / denom]
-        matrices += [quad.p_matrix, quad.q_matrix]
+    linear = [(term.eigenvalue, term.multiplicity) for term in pfd.linear]
+    weights = _basis_at(linear, [(quad.a, quad.d) for quad in pfd.quadratic], s0)
+    matrices = [b for term in pfd.linear for b in term.coefficients]
+    matrices += [m for quad in pfd.quadratic for m in (quad.p_matrix, quad.q_matrix)]
     return linear_combination(weights, matrices)
 
 

@@ -14,15 +14,17 @@ pair in Q(i), real mode keeps the quadratics with d > 0 (each simple), and
 auto takes the complex reading when it exists.  An irreducible factor of
 degree >= 3, or a quadratic the mode cannot read, raises IrrationalSpectrum
 naming that factor rather than approximating.  Each reading keeps the
-polynomial it factors (`poly`); `expand` is only the round-trip check.
+polynomial it factors (`poly`) and checks at construction that its factors
+multiply back out to it (`expand`), so no factorization, hand-built or not,
+reaches the decomposition without that round trip.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SelfCheckFailed
 from .scalars import (
@@ -175,6 +177,8 @@ class FactoredCharPoly:
     each stored as (a, d) meaning (s+a)^2 + d with d > 0.
 
     Linear factors are sorted by (re, im) of the root; quadratics by (a, d).
+    Construction checks the round trip: the factors must multiply out to
+    `poly`, or SelfCheckFailed (stage "factor") is raised.
     """
 
     mode: str
@@ -185,13 +189,15 @@ class FactoredCharPoly:
     def __post_init__(self):
         object.__setattr__(self, "linear", tuple(self.linear))
         object.__setattr__(self, "quadratic", tuple(self.quadratic))
+        if self.expand() != self.poly:
+            raise SelfCheckFailed("factor", "factorization failed round-trip check")
 
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.linear) + 2 * len(self.quadratic)
 
     def expand(self) -> Poly:
-        """Multiply all factors back out; the round-trip check compares this with `poly`."""
+        """Multiply all factors back out; construction checks that this equals `poly`."""
         out = Poly.constant(Fraction(1))
         zero = (Fraction(0),)
         for root, mult in self.linear:
@@ -315,6 +321,4 @@ def factor_charpoly(p: Poly, mode: str, hints=None) -> FactoredCharPoly:
     result = _view(p, *_irreducible_factors(p), mode)
     if result.mode == "real" and not all(is_rational(root) for root, _ in hints):
         raise HintMismatch("real mode accepts rational root hints only")
-    if result.expand() != p:
-        raise SelfCheckFailed("factor", "factorization failed round-trip check")
     return result

@@ -22,10 +22,6 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import Union
-
-# Scalars accepted by the generic matrix / polynomial code.
-Scalar = Union[int, Fraction, "GaussianRational"]
 
 _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
 _GAUSSIAN_RE = _re.compile(
@@ -141,6 +137,10 @@ class GaussianRational:
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+# Scalars accepted by the generic matrix / polynomial code.
+Scalar = int | Fraction | GaussianRational
 
 
 def rational_sqrt(x: Fraction | int) -> Fraction | None:

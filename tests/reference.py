@@ -17,7 +17,10 @@ of the oracle:
                            back-substitution; normalize_vector scales a
                            nullspace vector with Fraction arithmetic,
   eval_at               -- entrywise Horner evaluation of a PolyMatrix,
-  solve_undetermined    -- the sample-point solve through eval_at and solve_many,
+  basis_polys           -- the basis polynomials charpoly/(s - lambda)^j,
+                           (s+a) charpoly/quad and charpoly/quad by division,
+  solve_undetermined    -- the sample-point solve of those polynomials
+                           through eval_at and solve_many,
   reconstruct_resolvent -- the decomposition summed entrywise at s0
                            (resolvent_rows keeps the row tuples),
   taylor_shift          -- p(s + c) by repeated synthetic division,
@@ -262,6 +265,27 @@ def inverse(m: Matrix) -> Matrix:
     eye = Matrix.identity(n)
     sol = solve_many(m, [list(eye.column(j)) for j in range(n)])
     return Matrix(tuple(tuple(sol[i][j] for j in range(n)) for i in range(n)))
+
+
+def basis_polys(factored: FactoredCharPoly) -> list:
+    """The basis polynomials of the undetermined-coefficient identity, in solve order.
+
+    charpoly/(s - lambda_i)^j for each eigenvalue lambda_i and j = 1..r_i,
+    then (s+a) charpoly/quad and charpoly/quad for each quadratic factor
+    (s+a)^2 + d (real mode), each by exact polynomial division.
+    """
+    basis = []
+    for eigenvalue, mult in factored.linear:
+        partial = factored.poly
+        for _ in range(mult):
+            partial, rem = divmod(partial, Poly.linear(eigenvalue))
+            assert rem.is_zero, "eigenvalue does not divide the characteristic polynomial"
+            basis.append(partial)
+    for a, d in factored.quadratic:
+        cofactor, rem = divmod(factored.poly, Poly((a * a + d, 2 * a, Fraction(1))))
+        assert rem.is_zero, "quadratic factor does not divide the characteristic polynomial"
+        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
+    return basis
 
 
 def solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix, basis_polys: list) -> list:

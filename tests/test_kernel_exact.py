@@ -35,7 +35,7 @@ from respfd.linalg import (
     s_identity_minus,
     solve_many,
 )
-from respfd.pfd import _basis, _solve_undetermined, pfd_real, pfd_residue, reconstruct_resolvent, sample_points
+from respfd.pfd import _solve_undetermined, pfd_real, pfd_residue, reconstruct_resolvent, sample_points
 from respfd.polynomials import factor_charpoly
 from respfd.scalars import GaussianRational, format_scalar, scalar_im, scalar_re
 from tests import reference
@@ -302,9 +302,8 @@ def test_undetermined_solve_matches_fraction_reference(a, mode):
             factored = factor_charpoly(reference.faddeev_leverrier(a)[0], mode)
         except RepeatedQuadraticFactor:  # a repeated Q(i) pair has no real-mode view
             return
-        basis = _basis(factored)
-        expected = reference.solve_undetermined(factored, adjugate, basis)
-        assert _solve_undetermined(factored, adjugate, basis) == expected
+        expected = reference.solve_undetermined(factored, adjugate, reference.basis_polys(factored))
+        assert _solve_undetermined(factored, adjugate) == expected
         pfd = pfd_residue(factored, adjugate, a) if mode == "complex" else pfd_real(factored, adjugate, a)
         for s0 in sample_points(2, factored.eigenvalues(), a.nrows) + [GaussianRational(Fraction(1, 3), 1)]:
             assert reconstruct_resolvent(pfd, s0) == reference.reconstruct_resolvent(pfd, s0)

@@ -290,6 +290,14 @@ def test_reconstruction_at_pole_rejected():
         reconstruct_resolvent(pfd, Fraction(2))
 
 
+def test_reconstruction_at_quadratic_pole_rejected():
+    # 2i is a root of s^2 + 4, the real-mode quadratic factor of this rotation
+    pfd = _real_pfd(Matrix.from_rows([[0, -2], [2, 0]]))
+    assert [(quad.a, quad.d) for quad in pfd.quadratic] == [(0, 4)]
+    with pytest.raises(EvalAtPole, match="root of a quadratic factor"):
+        reconstruct_resolvent(pfd, GaussianRational(0, 2))
+
+
 def test_reconstruction_random_points(rng):
     for _ in range(10):
         a, _ = random_jordan_matrix(rng)

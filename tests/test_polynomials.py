@@ -11,6 +11,7 @@ from respfd.errors import (
     HintMismatch,
     IrrationalSpectrum,
     RepeatedQuadraticFactor,
+    SelfCheckFailed,
     SingularSeriesDivision,
 )
 from respfd.linalg import Matrix, faddeev_leverrier
@@ -242,6 +243,23 @@ def test_hint_gaussian_rejected_in_real_mode():
 def test_factored_charpoly_degree_invariant():
     f = FactoredCharPoly("real", P(4, -8, 5, -2, 1), ((Fraction(1), 2),), ((Fraction(0), Fraction(4)),))
     assert f.degree == 4
+
+
+# (s - 1)^2 (s^2 + 4) read with a factor left out, and with a wrong root
+@pytest.mark.parametrize(
+    "linear, quadratic",
+    [
+        (((Fraction(1), 2),), ()),
+        (((Fraction(1), 1),), ((Fraction(0), Fraction(4)),)),
+        (((Fraction(2), 2),), ((Fraction(0), Fraction(4)),)),
+    ],
+    ids=["no_quadratic", "root_once", "wrong_root"],
+)
+def test_factorization_must_multiply_out_to_its_polynomial(linear, quadratic):
+    with pytest.raises(SelfCheckFailed) as err:
+        FactoredCharPoly("real", P(4, -8, 5, -2, 1), linear, quadratic)
+    assert err.value.stage == "factor"
+    assert str(err.value) == "factorization failed round-trip check"
 
 
 # (s - 1)^2 (s + 1/2); (s^2 + 2s + 5)(s - 3), roots -1 +- 2i; (s^2 + 2)(s - 1), a real quadratic
