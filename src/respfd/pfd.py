@@ -12,11 +12,13 @@ and are cross-checked against each other (the test suite, `respfd verify`):
                        it uses, formed as integer linear combinations of the
                        adjugate's numerator planes, then one truncated series
                        division on whole matrices,
-  pfd_undetermined  -- undetermined matrix coefficients: at n rational
-                       sample points s0, charpoly(s0) times the basis values
-                       1/(s0 - lambda_i)^j and the entries of adj(s0 I - A)
-                       form integer rows of one exact linear system, solved
-                       by fraction-free elimination.
+  pfd_undetermined  -- undetermined matrix coefficients: at n integer sample
+                       points s0, the basis values 1/(s0 - lambda_i)^j and the
+                       monomials s0^k / charpoly(s0) form integer rows of one
+                       scalar system, solved by fraction-free elimination for
+                       the partial fractions of s^k / det(sI - A); one
+                       product with the adjugate's coefficient matrices then
+                       gives every B_ij.
 
 Real mode keeps everything rational: each irreducible quadratic factor
 (s+a)^2 + d contributes a term ((s+a) P + Q) / ((s+a)^2 + d), where Q folds
@@ -215,24 +217,34 @@ def _basis_at(linear, quadratic, s0: Scalar) -> list:
 def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix) -> list:
     """The matrices X_k of adj(sI-A) = charpoly(s) sum_k X_k basis_k(s), in solve order.
 
-    Evaluating the identity at one rational non-eigenvalue point per unknown
-    gives one exact linear system shared by every matrix entry; the n^2
-    right-hand sides are the entries of adj(s0 I - A).  The row of s0 = u/v is
-    charpoly(s0) times the basis values _basis_at(s0), joined with one
-    combine_integral of the adjugate's s^k coefficient planes with weights
-    u^k v^(deg-k) over v^deg; solve_integral eliminates those integer rows.
+    With adj(sI-A) = sum_i C_i s^i, the scalar partial fractions
+    s^i / charpoly(s) = sum_k T[k, i] basis_k(s) give X_k = sum_i T[k, i] C_i.
+    One integer sample point s0 per unknown gives the row
+    [_basis_at(s0) | s0^i / charpoly(s0)] of the scalar system, charpoly(s0) an
+    integer Horner pass over the numerators of `poly`; solve_integral eliminates
+    those m x (m + n) rows for T, and one Matrix product of T with the adjugate's
+    coefficient planes, stacked over one denominator, gives every X_k.
     """
-    n, degree = adjugate.size, adjugate.degree
-    coefficients = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
+    n, coefficients = adjugate.size, adjugate.coeff_matrices
+    h = math.lcm(*(c.denominator for c in factored.poly.coeffs))
+    numerators = [(c * h).numerator for c in reversed(factored.poly.coeffs)]
     rows = []
     for s0 in sample_points(factored.degree, factored.eigenvalues(), n):
-        u, v = s0.as_integer_ratio()
-        charpoly = factored.poly.eval(s0)
-        basis = entries_to_integral([charpoly * b for b in _basis_at(factored.linear, factored.quadratic, s0)])
-        weights = [((u**k * v ** (degree - k), 0), v**degree, c) for k, c in enumerate(coefficients)]
-        rows.append(join_integral(basis, combine_integral(weights)))
+        value = 0  # h charpoly(s0), nonzero; every sample point is an integer
+        for c in numerators:
+            value = value * s0.numerator + c
+        monomials = [(h if value > 0 else -h) * s0.numerator**i for i in range(len(coefficients))]
+        basis = entries_to_integral(_basis_at(factored.linear, factored.quadratic, s0))
+        rows.append(join_integral(basis, (monomials, None, abs(value))))
     solution, den = solve_integral(rows, factored.degree)
-    return [from_integral(*planes, den, n, n) for planes in solution]
+    planes = ([x for p in solution for x in p[k] or ()] for k in (0, 1))
+    d, size = math.lcm(*(c.d for c in coefficients)), n * n
+    re = [x * (d // c.d) for c in coefficients for x in c.re]
+    im = [x * (d // c.d) for c in coefficients for x in c.im or [0] * size]
+    t = from_integral(*planes, den, len(rows), len(coefficients))
+    solved = t @ from_integral(re, im, d, len(coefficients), size)
+    parts = [slice(j * size, (j + 1) * size) for j in range(len(rows))]
+    return [from_integral(solved.re[p], solved.im and solved.im[p], solved.d, n, n) for p in parts]
 
 
 def pfd_undetermined(

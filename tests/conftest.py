@@ -145,6 +145,19 @@ def companion(*low_coeffs) -> list:
     return rows
 
 
+def gaussian_block(a: Fraction, b: Fraction, mult: int) -> list:
+    """Real Jordan form of a +- bi with multiplicity mult: [[a, -b], [b, a]] blocks coupled by I."""
+    size = 2 * mult
+    rows = [[0] * size for _ in range(size)]
+    for k in range(mult):
+        i = 2 * k
+        rows[i][i] = rows[i + 1][i + 1] = a
+        rows[i][i + 1], rows[i + 1][i] = -b, b
+        if k + 1 < mult:
+            rows[i][i + 2] = rows[i + 1][i + 3] = 1
+    return rows
+
+
 def disguised(a: Matrix, seed: int) -> Matrix:
     """S A S^{-1} for a seeded unimodular S: same spectrum, dense entries."""
     s = _random_unimodular(random.Random(seed), a.nrows)

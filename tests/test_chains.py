@@ -144,6 +144,15 @@ def test_select_basis_scalar_matrix():
     assert [c.length for c in basis.chains] == [1, 1, 1]
 
 
+def test_select_basis_prefers_longest_chains_then_lower_columns():
+    # eigenvalue 2 with blocks (2, 1); the column chains are e0, (e1, e0 + e2) and e2
+    pfd = decompose(Matrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 1, 2]]), "complex")
+    assert [(c.column, c.length) for c in extract_column_chains(pfd, 0)] == [(0, 1), (1, 2), (2, 1)]
+    # shortest first would give [(0, 1), (1, 2)], and ties to the higher column [(1, 2), (2, 1)]
+    basis = select_chain_basis(pfd, 0)
+    assert [(c.column, c.length) for c in basis.chains] == [(1, 2), (0, 1)]
+
+
 def no_chain_subset_spans(chains, target: int) -> bool:
     """Independent brute force: can any subset of whole chains span?"""
     for size in range(1, len(chains) + 1):

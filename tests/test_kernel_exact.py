@@ -39,7 +39,7 @@ from respfd.pfd import _solve_undetermined, pfd_real, pfd_residue, reconstruct_r
 from respfd.polynomials import factor_charpoly
 from respfd.scalars import GaussianRational, format_scalar, scalar_im, scalar_re
 from tests import reference
-from tests.conftest import block_diagonal, deadline, disguised
+from tests.conftest import block_diagonal, deadline, disguised, gaussian_block
 
 BIG_PRIME = 10**6 + 3
 halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
@@ -54,19 +54,6 @@ def _jordan_block(lam: Fraction, size: int) -> list:
     return [[lam if i == j else 1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
 
 
-def _gaussian_block(a: Fraction, b: Fraction, mult: int) -> list:
-    """Real Jordan form of a +- bi with multiplicity mult: [[a, -b], [b, a]] blocks coupled by I."""
-    size = 2 * mult
-    rows = [[0] * size for _ in range(size)]
-    for k in range(mult):
-        i = 2 * k
-        rows[i][i] = rows[i + 1][i + 1] = a
-        rows[i][i + 1], rows[i + 1][i] = -b, b
-        if k + 1 < mult:
-            rows[i][i + 2] = rows[i + 1][i + 3] = 1
-    return rows
-
-
 @st.composite
 def planted(draw, sizes: range) -> Matrix:
     n = draw(st.sampled_from(sizes))
@@ -74,7 +61,7 @@ def planted(draw, sizes: range) -> Matrix:
     while size < n:
         if n - size >= 2 and draw(st.booleans()):
             mult = draw(st.integers(1, min(3, (n - size) // 2)))
-            blocks.append(_gaussian_block(draw(halves), draw(halves.filter(bool)), mult))
+            blocks.append(gaussian_block(draw(halves), draw(halves.filter(bool)), mult))
             size += 2 * mult
             continue
         lam = draw(rational_eigenvalues)

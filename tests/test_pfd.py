@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import respfd.pfd
 from respfd.errors import EvalAtPole
 from respfd.exponential import decompose
 from respfd.io import render_pfd
@@ -259,6 +260,26 @@ def test_real_mode_pairs_match_residue_terms(a):
         minus = _term_for(residue, GaussianRational(-quad.a, -beta)).coefficient(1)
         assert quad.p_matrix == plus + minus
         assert quad.q_matrix == (plus - minus) * GaussianRational(0, beta)
+
+
+@pytest.mark.parametrize("mode, algorithm", [("complex", pfd_undetermined), ("real", pfd_real)])
+def test_undetermined_solve_eliminates_scalar_rows(monkeypatch, mode, algorithm):
+    # 12x12 with two simple Q(i) pairs, so both modes apply: m = 12 unknowns, n = 12
+    blocks = [[1, -2], [2, 1]], [[-1, -1], [1, -1]], [[2, 1, 0], [0, 2, 1], [0, 0, 2]], [[-1, 1], [0, -1]]
+    a = disguised(block_diagonal(*blocks, [[Fraction(1, 2)]], [[0]], [[3]]), 5)
+    widths = []
+
+    def spy(row_planes, ncols):
+        widths.append((len(row_planes), ncols, {len(row[0]) for row in row_planes}))
+        return solve_integral(row_planes, ncols)
+
+    solve_integral = respfd.pfd.solve_integral
+    monkeypatch.setattr(respfd.pfd, "solve_integral", spy)
+    charpoly, adjugate = faddeev_leverrier(a)
+    pfd = algorithm(factor_charpoly(charpoly, mode), adjugate, a)
+    # the scalar partial fractions of s^k / charpoly: rows of width m + n, not m + n^2
+    assert widths == [(12, 12, {24})]
+    assert all_passed(verify_pfd(a, pfd) if mode == "complex" else verify_real_pfd(a, pfd))
 
 
 def test_reconstruction_golden_at_zero():

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import respfd.cli
 import respfd.verify
 from respfd.io import parse_matrix
 from respfd.pfd import all_passed
 from respfd.verify import verification_report
+from tests.conftest import block_diagonal, deadline, disguised, gaussian_block
 from tests.test_chains import NILPOTENT_221
 from tests.test_cli import REPEATED_QUAD_FILE
 
@@ -41,3 +45,13 @@ def test_incomplete_chain_basis_is_a_passing_finding():
     assert union.passed
     assert union.detail == "selected chain bases are jointly independent (spanning 0 of 5 dimensions)"
     assert len(checks) == 25 and all_passed(checks)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_largest_gaussian_multiplicity_verifies_promptly(seed):
+    # the slowest case inside the envelope: the pair (1 +- 3i)/(10^6 + 3) at multiplicity 6, 12x12
+    q = 10**6 + 3
+    a = disguised(block_diagonal(gaussian_block(Fraction(1, q), Fraction(3, q), 6)), seed)
+    with deadline(10):
+        checks = verification_report(a, "complex")
+    assert all_passed(checks)
