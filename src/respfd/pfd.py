@@ -26,6 +26,7 @@ the sqrt(d) scale so that P and Q are rational matrices.  pfd_real is the
 same solve, _solve_undetermined, with the two more basis values (s0+a)/quad
 and 1/quad per quadratic factor.  _basis_at gives the basis values at one
 point, for the solve and for reconstruct_resolvent; no basis polynomial is built.
+Both algorithms read charpoly as numerators over one denominator, `factored.integral`.
 
 Each algorithm returns one ResolventPFD: `mode`, `linear` (EigenvalueTerm,
 ...) and `quadratic` (QuadraticTerm, ..., empty in complex mode).
@@ -108,8 +109,8 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     if factored.mode != "complex":
         raise ValueError("pfd_residue requires a complex-mode factorization")
     n = adjugate.size
-    h_den = math.lcm(*(c.denominator for c in factored.poly.coeffs))
-    charpoly = [((c * h_den).numerator, 0) for c in factored.poly.coeffs]
+    coeffs, h_den = factored.integral
+    charpoly = [(c, 0) for c in coeffs]
     numerators = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
     terms = []
     for eigenvalue, mult in factored.linear:
@@ -221,17 +222,16 @@ def _solve_undetermined(factored: FactoredCharPoly, adjugate: PolyMatrix) -> lis
     s^i / charpoly(s) = sum_k T[k, i] basis_k(s) give X_k = sum_i T[k, i] C_i.
     One integer sample point s0 per unknown gives the row
     [_basis_at(s0) | s0^i / charpoly(s0)] of the scalar system, charpoly(s0) an
-    integer Horner pass over the numerators of `poly`; solve_integral eliminates
+    integer Horner pass over `factored.integral`; solve_integral eliminates
     those m x (m + n) rows for T, and one Matrix product of T with the adjugate's
     coefficient planes, stacked over one denominator, gives every X_k.
     """
     n, coefficients = adjugate.size, adjugate.coeff_matrices
-    h = math.lcm(*(c.denominator for c in factored.poly.coeffs))
-    numerators = [(c * h).numerator for c in reversed(factored.poly.coeffs)]
+    numerators, h = factored.integral
     rows = []
     for s0 in sample_points(factored.degree, factored.eigenvalues(), n):
         value = 0  # h charpoly(s0), nonzero; every sample point is an integer
-        for c in numerators:
+        for c in reversed(numerators):
             value = value * s0.numerator + c
         monomials = [(h if value > 0 else -h) * s0.numerator**i for i in range(len(coefficients))]
         basis = entries_to_integral(_basis_at(factored.linear, factored.quadratic, s0))

@@ -1,10 +1,11 @@
-"""Dense univariate polynomial arithmetic over exact scalars.
+"""Dense univariate polynomials over exact scalars, and their factorization.
 
 A Poly stores coefficients in ascending degree with the trailing zeros
 stripped, so the zero polynomial has an empty coefficient tuple.  Coefficients
-may be Fractions or GaussianRationals (or anything else implementing exact
-field arithmetic); mixed arithmetic works through the scalar operator
-protocol.
+may be Fractions or GaussianRationals; Poly evaluates and differentiates but
+does no arithmetic between polynomials (the tests keep that, in
+tests/reference.py).  integral_coeffs gives a rational polynomial's integer
+layout, its numerators over one lcm denominator, as FLINT's fmpq_poly stores it.
 
 Also home to the characteristic-polynomial factorizer.  It factors the
 polynomial once, exactly, over Q (p-adic lifting in zfactor, any degree) into
@@ -14,9 +15,11 @@ pair in Q(i), real mode keeps the quadratics with d > 0 (each simple), and
 auto takes the complex reading when it exists.  An irreducible factor of
 degree >= 3, or a quadratic the mode cannot read, raises IrrationalSpectrum
 naming that factor rather than approximating.  Each reading keeps the
-polynomial it factors (`poly`) and checks at construction that its factors
-multiply back out to it (`expand`), so no factorization, hand-built or not,
-reaches the decomposition without that round trip.
+polynomial it factors (`poly`) and its integer layout (`integral`), which
+both decomposition algorithms read.  At construction it checks its shape and
+then, in integer arithmetic, that its factors multiply back out to `poly`
+(`multiplies_out`), so no factorization, hand-built or not, reaches the
+decomposition without that round trip.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SelfCheckFailed
 from .scalars import (
@@ -33,7 +37,9 @@ from .scalars import (
     as_fraction,
     is_rational,
     rational_sqrt,
+    scalar_im,
     scalar_key,
+    scalar_re,
 )
 from .zfactor import factor_integer, primitive
 
@@ -55,17 +61,8 @@ class Poly:
         object.__setattr__(self, "coeffs", _strip(tuple(self.coeffs)))
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly(())
-
-    @staticmethod
     def constant(c: Scalar) -> "Poly":
         return Poly((c,))
-
-    @staticmethod
-    def linear(root: Scalar) -> "Poly":
-        """The monic linear factor s - root."""
-        return Poly((-root, Fraction(1)))
 
     @property
     def degree(self) -> int:
@@ -90,68 +87,6 @@ class Poly:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
-        return Poly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.constant(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact Euclidean division; requires a nonzero divisor."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(), self
-        inv_lead = Fraction(1) / other.leading() if other.leading() != 1 else None
-        quot = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if not top:
-                continue
-            q = top if inv_lead is None else top * inv_lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - q * b
-        return Poly(quot), Poly(rem[: other.degree if other.degree > 0 else 0])
-
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
@@ -168,6 +103,12 @@ class Poly:
         return format_poly(self)
 
 
+def integral_coeffs(p: Poly) -> tuple[tuple, int]:
+    """A rational p's integer layout (numerators, den): p = sum_k numerators[k] s^k / den, den the lcm."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in p.coeffs), den
+
+
 @dataclass(frozen=True)
 class FactoredCharPoly:
     """Factorization of a monic rational polynomial `poly` into supported shapes.
@@ -177,8 +118,11 @@ class FactoredCharPoly:
     each stored as (a, d) meaning (s+a)^2 + d with d > 0.
 
     Linear factors are sorted by (re, im) of the root; quadratics by (a, d).
-    Construction checks the round trip: the factors must multiply out to
-    `poly`, or SelfCheckFailed (stage "factor") is raised.
+    Construction checks the shape (a known mode, positive int multiplicities,
+    no root or quadratic listed twice, the factor kinds the mode allows) and
+    then the round trip (`multiplies_out`): the factors must multiply out to
+    `poly`.  Either failure raises SelfCheckFailed (stage "factor").
+    `integral` is `poly`'s integer layout, which both algorithms read.
     """
 
     mode: str
@@ -189,23 +133,42 @@ class FactoredCharPoly:
     def __post_init__(self):
         object.__setattr__(self, "linear", tuple(self.linear))
         object.__setattr__(self, "quadratic", tuple(self.quadratic))
-        if self.expand() != self.poly:
+        problem = _shape_problem(self.mode, self.linear, self.quadratic)
+        if problem:
+            raise SelfCheckFailed("factor", f"factorization has an unsupported shape: {problem}")
+        if not self.multiplies_out(*self.integral):
             raise SelfCheckFailed("factor", "factorization failed round-trip check")
 
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.linear) + 2 * len(self.quadratic)
 
-    def expand(self) -> Poly:
-        """Multiply all factors back out; construction checks that this equals `poly`."""
-        out = Poly.constant(Fraction(1))
-        zero = (Fraction(0),)
+    @cached_property
+    def integral(self) -> tuple[tuple, int]:
+        """`poly` as integral_coeffs lays it out: (numerators, den)."""
+        return integral_coeffs(self.poly)
+
+    def multiplies_out(self, numerators: Sequence[int], den: int) -> bool:
+        """True when the factors multiply out to the polynomial numerators / den.
+
+        An exact integer identity: with each root lambda = P/e (P a Gaussian
+        integer) and each quadratic scaled by q = lcm(den a, den d), so that
+        q a and q^2 d are integers,
+        prod (e s - P)^m * prod (q^2 (s+a)^2 + q^2 d) = (prod e^m * prod q^2) numerators / den.
+        """
+        factors, scale = [], 1
         for root, mult in self.linear:
-            for _ in range(mult):  # out * (s - root), coefficient by coefficient
-                out = Poly(tuple(lo - root * hi for lo, hi in zip(zero + out.coeffs, out.coeffs + zero)))
+            re, im = scalar_re(root), scalar_im(root)
+            e = math.lcm(re.denominator, im.denominator)
+            factors += [((-(re * e).numerator, e), (-(im * e).numerator, 0))] * mult
+            scale *= e**mult
         for a, d in self.quadratic:
-            out = out * Poly((a * a + d, 2 * a, Fraction(1)))
-        return out
+            q = math.lcm(a.denominator, d.denominator)
+            qa = (a * q).numerator
+            factors.append(((qa * qa + (d * q * q).numerator, 2 * q * qa, q * q), (0, 0, 0)))
+            scale *= q * q
+        re, im = _gaussian_product(factors)
+        return not any(im) and [den * c for c in re] == [scale * c for c in numerators]
 
     def eigenvalues(self) -> tuple:
         return tuple(root for root, _ in self.linear)
@@ -224,6 +187,39 @@ class FactoredCharPoly:
         return _view(self.poly, rational, quadratic, mode)
 
 
+def _shape_problem(mode: str, linear: tuple, quadratic: tuple) -> str:
+    """How (mode, linear, quadratic) breaks FactoredCharPoly's documented shape, or ""."""
+    if mode not in ("complex", "real"):
+        return f"unknown mode {mode!r}"
+    if not all(type(mult) is int and mult > 0 for _, mult in linear):
+        return "a multiplicity is not a positive int"
+    if len({scalar_key(root) for root, _ in linear}) < len(linear):
+        return "a root is listed twice"
+    if mode == "complex":
+        return "complex mode has a quadratic factor" if quadratic else ""
+    if not all(is_rational(root) for root, _ in linear):
+        return "real mode has a non-rational root"
+    if not all(d > 0 for _, d in quadratic):
+        return "a quadratic factor has d <= 0"
+    if len(set(quadratic)) < len(quadratic):
+        return "a quadratic factor is listed twice"
+    return ""
+
+
+def _gaussian_product(factors) -> tuple[list, list]:
+    """Product of polynomials over Z[i], each given as (re, im) coefficient tuples, ascending."""
+    re, im = [1], [0]
+    for f_re, f_im in factors:
+        size = len(re) + len(f_re) - 1
+        out_re, out_im = [0] * size, [0] * size
+        for i, (x, y) in enumerate(zip(re, im)):
+            for j, (u, v) in enumerate(zip(f_re, f_im)):
+                out_re[i + j] += x * u - y * v
+                out_im[i + j] += x * v + y * u
+        re, im = out_re, out_im
+    return re, im
+
+
 def _irreducible_factors(p: Poly) -> tuple[dict, dict]:
     """Factor a monic rational p over Q into roots and quadratics.
 
@@ -231,9 +227,8 @@ def _irreducible_factors(p: Poly) -> tuple[dict, dict]:
     the irreducible quadratic (s+a)^2 + d.  A factor of degree >= 3 raises
     IrrationalSpectrum naming it.
     """
-    common = math.lcm(*(as_fraction(c).denominator for c in p.coeffs))
     rational, quadratic = {}, {}
-    for f, mult in factor_integer(primitive([int(as_fraction(c) * common) for c in p.coeffs])):
+    for f, mult in factor_integer(primitive(integral_coeffs(p)[0])):
         if len(f) == 2:
             rational[Fraction(-f[0], f[1])] = mult
         elif len(f) == 3:

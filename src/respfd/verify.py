@@ -39,7 +39,7 @@ from .pfd import (
     verify_pfd,
     verify_real_pfd,
 )
-from .polynomials import factor_charpoly
+from .polynomials import factor_charpoly, integral_coeffs
 
 ORACLE_TOLERANCE = 1e-9
 SEMIGROUP_TOLERANCE = 1e-8
@@ -73,7 +73,7 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
     checks.append(
         CheckResult(
             "factor_roundtrip",
-            factored.expand() == charpoly,
+            factored.multiplies_out(*integral_coeffs(charpoly)),
             f"{mode_used}-mode factorization expands back to det(sI - A)",
         )
     )

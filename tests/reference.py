@@ -28,6 +28,13 @@ of the oracle:
   faddeev_leverrier     -- the Faddeev-LeVerrier sweep on exact scalars,
   pfd_residue           -- Taylor shift + series division per matrix entry.
 
+respfd's Poly holds coefficients and evaluates; it does no arithmetic between
+polynomials.  The Fraction arithmetic the tests build polynomials with lives
+here: linear_factor (s - root), poly_add, poly_neg, poly_sub, poly_mul,
+poly_pow and poly_divmod (exact Euclidean division).  expand multiplies a
+factorization's (linear, quadratic) factors out in that arithmetic, the oracle
+for FactoredCharPoly's integer round trip (multiplies_out).
+
 The float checks once kept their matrices as lists of rows, multiplied by a
 generator product of their own.  nested_oracle_exp, nested_mat_mul and
 nested_relative_error are those versions, so the tests can demand that the
@@ -50,6 +57,85 @@ from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix
 from respfd.pfd import EigenvalueTerm, ResolventPFD, sample_points
 from respfd.polynomials import FactoredCharPoly, Poly
 from respfd.scalars import GaussianRational, as_fraction, scalar_key
+
+
+def linear_factor(root) -> Poly:
+    """The monic linear factor s - root."""
+    return Poly((-root, Fraction(1)))
+
+
+def poly_add(x: Poly, y: Poly) -> Poly:
+    a, b = x.coeffs, y.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] = out[k] + c
+    return Poly(out)
+
+
+def poly_neg(x: Poly) -> Poly:
+    return Poly(tuple(-c for c in x.coeffs))
+
+
+def poly_sub(x: Poly, y: Poly) -> Poly:
+    return poly_add(x, poly_neg(y))
+
+
+def poly_mul(x: Poly, y: Poly) -> Poly:
+    if x.is_zero or y.is_zero:
+        return Poly(())
+    out = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out)
+
+
+def poly_pow(p: Poly, n: int) -> Poly:
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    out = Poly.constant(Fraction(1))
+    base = p
+    while n:
+        if n & 1:
+            out = poly_mul(out, base)
+        base = poly_mul(base, base)
+        n >>= 1
+    return out
+
+
+def poly_divmod(x: Poly, y: Poly) -> tuple[Poly, Poly]:
+    """Exact Euclidean division; requires a nonzero divisor."""
+    if y.is_zero:
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    rem = list(x.coeffs)
+    dq = len(rem) - len(y.coeffs)
+    if dq < 0:
+        return Poly(()), x
+    inv_lead = Fraction(1) / y.leading() if y.leading() != 1 else None
+    quot = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[k + y.degree]
+        if not top:
+            continue
+        q = top if inv_lead is None else top * inv_lead
+        quot[k] = q
+        for j, b in enumerate(y.coeffs):
+            rem[k + j] = rem[k + j] - q * b
+    return Poly(quot), Poly(rem[: y.degree if y.degree > 0 else 0])
+
+
+def expand(linear, quadratic) -> Poly:
+    """A factorization's factors multiplied out: prod (s - root)^m * prod ((s+a)^2 + d)."""
+    out = Poly.constant(Fraction(1))
+    for root, mult in linear:
+        out = poly_mul(out, poly_pow(linear_factor(root), mult))
+    for a, d in quadratic:
+        out = poly_mul(out, Poly((a * a + d, 2 * a, Fraction(1))))
+    return out
 
 
 def _dot(u, v):
@@ -278,13 +364,13 @@ def basis_polys(factored: FactoredCharPoly) -> list:
     for eigenvalue, mult in factored.linear:
         partial = factored.poly
         for _ in range(mult):
-            partial, rem = divmod(partial, Poly.linear(eigenvalue))
+            partial, rem = poly_divmod(partial, linear_factor(eigenvalue))
             assert rem.is_zero, "eigenvalue does not divide the characteristic polynomial"
             basis.append(partial)
     for a, d in factored.quadratic:
-        cofactor, rem = divmod(factored.poly, Poly((a * a + d, 2 * a, Fraction(1))))
+        cofactor, rem = poly_divmod(factored.poly, Poly((a * a + d, 2 * a, Fraction(1))))
         assert rem.is_zero, "quadratic factor does not divide the characteristic polynomial"
-        basis += [cofactor * Poly((a, Fraction(1))), cofactor]
+        basis += [poly_mul(cofactor, Poly((a, Fraction(1)))), cofactor]
     return basis
 
 
@@ -407,12 +493,12 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
     computes every eigenvalue's term independently.
     """
     n = adjugate.size
-    charpoly = factored.expand()
+    charpoly = expand(factored.linear, factored.quadratic)
     terms = []
     for eigenvalue, mult in factored.linear:
         denom = charpoly
         for _ in range(mult):
-            denom, rem = divmod(denom, Poly.linear(eigenvalue))
+            denom, rem = poly_divmod(denom, linear_factor(eigenvalue))
             if not rem.is_zero:
                 raise AssertionError("eigenvalue does not divide the characteristic polynomial")
         denom_shifted = taylor_shift(denom, eigenvalue)

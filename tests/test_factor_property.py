@@ -21,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from respfd.errors import IrrationalSpectrum, RepeatedQuadraticFactor  # noqa: E402
 from respfd.polynomials import Poly, factor_charpoly  # noqa: E402
 from respfd.scalars import GaussianRational  # noqa: E402
+from tests.reference import linear_factor, poly_mul, poly_pow  # noqa: E402
 
 S = sympy.Symbol("s")
 halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
@@ -35,9 +36,9 @@ def _quadratic(a: Fraction, d: Fraction) -> Poly:
 
 
 factors = st.one_of(
-    st.integers(-30, 30).flatmap(lambda k: st.sampled_from([Fraction(k), Fraction(k, 2)])).map(Poly.linear),
+    st.integers(-30, 30).flatmap(lambda k: st.sampled_from([Fraction(k), Fraction(k, 2)])).map(linear_factor),
     st.tuples(st.sampled_from([10**6, 10**9]), st.integers(-40, 40), st.sampled_from([1, -1])).map(
-        lambda t: Poly.linear(Fraction(t[2] * (t[0] + t[1])))
+        lambda t: linear_factor(Fraction(t[2] * (t[0] + t[1])))
     ),
     st.tuples(halves, halves.filter(bool)).map(lambda t: _quadratic(t[0], t[1] * t[1])),  # Q(i) pair
     st.tuples(halves, non_square).map(lambda t: _quadratic(*t)),  # real quadratic, d > 0
@@ -51,7 +52,7 @@ def planted(draw) -> Poly:
     p = Poly((Fraction(1),))
     for factor, mult in draw(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=6)):
         if p.degree + factor.degree * mult <= 12:
-            p = p * factor**mult
+            p = poly_mul(p, poly_pow(factor, mult))
     return p
 
 

@@ -92,7 +92,7 @@ def test_format_poly():
         "s^3 - 6s^2 + 12s - 8"
     )
     assert format_poly(Poly((Fraction(9), Fraction(0), Fraction(1)))) == "s^2 + 9"
-    assert format_poly(Poly.zero()) == "0"
+    assert format_poly(Poly(())) == "0"
     assert format_poly(Poly((Fraction(1, 2), Fraction(1)))) == "s + 1/2"
 
 

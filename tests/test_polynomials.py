@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, Taylor shift, series division, factorization."""
+"""Polynomial arithmetic (the reference), Taylor shift, series division, factorization, round trip."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from respfd.errors import (
     HintMismatch,
@@ -15,10 +16,21 @@ from respfd.errors import (
     SingularSeriesDivision,
 )
 from respfd.linalg import Matrix, faddeev_leverrier
-from respfd.polynomials import FactoredCharPoly, Poly, factor_charpoly
+from respfd.polynomials import FactoredCharPoly, Poly, factor_charpoly, integral_coeffs
 from respfd.scalars import GaussianRational
 from tests.conftest import block_diagonal, companion, deadline, disguised
-from tests.reference import series_div, taylor_shift
+from tests.test_kernel_exact import planted
+from tests.reference import (
+    expand,
+    linear_factor,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_pow,
+    poly_sub,
+    series_div,
+    taylor_shift,
+)
 
 
 def P(*ascending) -> Poly:
@@ -26,7 +38,7 @@ def P(*ascending) -> Poly:
 
 
 def test_expand_cube():
-    cubed = Poly.linear(Fraction(2)) ** 3
+    cubed = poly_pow(linear_factor(Fraction(2)), 3)
     assert cubed == P(-8, 12, -6, 1)
 
 
@@ -39,18 +51,18 @@ def test_eval_at_root():
 
 
 def test_divmod_exact():
-    quot, rem = divmod(P(-8, 12, -6, 1), P(-2, 1))
+    quot, rem = poly_divmod(P(-8, 12, -6, 1), P(-2, 1))
     assert rem.is_zero
     assert quot == P(4, -4, 1)
     with pytest.raises(ZeroDivisionError):
-        divmod(P(1, 1), Poly.zero())
+        poly_divmod(P(1, 1), Poly(()))
 
 
 def test_divmod_remainder_degree():
     num = P(1, 2, 3, 4)
     den = P(1, 0, 2)
-    quot, rem = divmod(num, den)
-    assert quot * den + rem == num
+    quot, rem = poly_divmod(num, den)
+    assert poly_add(poly_mul(quot, den), rem) == num
     assert rem.degree < den.degree
 
 
@@ -94,7 +106,7 @@ def test_series_div_consistency():
         den = Poly(tuple(den_coeffs))
         order = rng.randint(1, 6)
         q = series_div(num, den, order)
-        residue = num - den * q
+        residue = poly_sub(num, poly_mul(den, q))
         assert all(not residue.coeff(k) for k in range(order))
 
 
@@ -142,22 +154,22 @@ def test_factor_round_trip_property(rng):
         roots = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in range(rng.randint(1, 5))]
         p = Poly((Fraction(1),))
         for r in roots:
-            p = p * Poly.linear(r)
+            p = poly_mul(p, linear_factor(r))
         for mode in ("complex", "real"):
             f = factor_charpoly(p, mode)
-            assert f.expand() == p
+            assert expand(f.linear, f.quadratic) == p
             assert f.degree == p.degree
 
 
 def test_factor_rational_roots_with_fractional_eigenvalue():
-    p = Poly.linear(Fraction(1, 2)) ** 2 * Poly.linear(Fraction(-3))
+    p = poly_mul(poly_pow(linear_factor(Fraction(1, 2)), 2), linear_factor(Fraction(-3)))
     f = factor_charpoly(p, "complex")
     assert f.linear == ((Fraction(-3), 1), (Fraction(1, 2), 2))
 
 
 def test_factor_quartic_split_real():
     # (s^2+1)(s^2+4), distinct irreducible quadratics
-    p = P(1, 0, 1) * P(4, 0, 1)
+    p = poly_mul(P(1, 0, 1), P(4, 0, 1))
     f = factor_charpoly(p, "real")
     assert f.quadratic == ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(4)))
 
@@ -186,7 +198,7 @@ def test_factor_irrational_rejected_both_modes():
 
 def test_factor_irrational_quartic_with_real_quadratic_factor():
     # (s^2+1)(s^2-2): splits rationally but s^2-2 is reducible over R
-    p = P(1, 0, 1) * P(-2, 0, 1)
+    p = poly_mul(P(1, 0, 1), P(-2, 0, 1))
     with pytest.raises(IrrationalSpectrum):
         factor_charpoly(p, "real")
     with pytest.raises(IrrationalSpectrum):
@@ -194,20 +206,20 @@ def test_factor_irrational_quartic_with_real_quadratic_factor():
 
 
 def test_factor_repeated_quadratic_real():
-    p = P(1, 0, 1) ** 2
+    p = poly_pow(P(1, 0, 1), 2)
     with pytest.raises(RepeatedQuadraticFactor):
         factor_charpoly(p, "real")
 
 
 def test_factor_repeated_quadratic_complex_succeeds():
-    p = P(1, 0, 1) ** 2
+    p = poly_pow(P(1, 0, 1), 2)
     f = factor_charpoly(p, "complex")
     assert dict(f.linear) == {GaussianRational(0, 1): 2, GaussianRational(0, -1): 2}
 
 
 def test_factor_sextic_three_quadratics_real():
     # three distinct irreducible quadratics: no degree limit on the residual
-    p = P(1, 0, 1) * P(4, 0, 1) * P(9, 0, 1)
+    p = poly_mul(poly_mul(P(1, 0, 1), P(4, 0, 1)), P(9, 0, 1))
     f = factor_charpoly(p, "real")
     assert f.linear == ()
     assert f.quadratic == tuple((Fraction(0), Fraction(d)) for d in (1, 4, 9))
@@ -262,11 +274,127 @@ def test_factorization_must_multiply_out_to_its_polynomial(linear, quadratic):
     assert str(err.value) == "factorization failed round-trip check"
 
 
+# Hand-built factorizations whose factors multiply out, each outside the documented shape
+@pytest.mark.parametrize(
+    "mode, p, linear, quadratic, problem",
+    [
+        ("bogus", P(1, -2, 1), ((Fraction(1), 2),), (), "unknown mode 'bogus'"),
+        (
+            "complex",
+            P(1, -2, 1),
+            ((Fraction(1), 2), (Fraction(3), 0)),
+            (),
+            "a multiplicity is not a positive int",
+        ),
+        ("complex", P(1, -2, 1), ((Fraction(1), 1), (Fraction(1), 1)), (), "a root is listed twice"),
+        ("complex", P(1, 0, 1), (), ((Fraction(0), Fraction(1)),), "complex mode has a quadratic factor"),
+        (
+            "real",
+            P(1, 0, 1),
+            ((GaussianRational(0, -1), 1), (GaussianRational(0, 1), 1)),
+            (),
+            "real mode has a non-rational root",
+        ),
+        ("real", P(-1, 0, 1), (), ((Fraction(0), Fraction(-1)),), "a quadratic factor has d <= 0"),
+        (
+            "real",
+            P(1, 0, 2, 0, 1),
+            (),
+            ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
+            "a quadratic factor is listed twice",
+        ),
+    ],
+    ids=[
+        "unknown_mode",
+        "zero_multiplicity",
+        "root_twice",
+        "complex_quadratic",
+        "real_gaussian_roots",
+        "real_d_not_positive",
+        "real_quadratic_twice",
+    ],
+)
+def test_factorization_must_have_its_documented_shape(mode, p, linear, quadratic, problem):
+    with pytest.raises(SelfCheckFailed) as err:
+        FactoredCharPoly(mode, p, linear, quadratic)
+    assert err.value.stage == "factor"
+    assert str(err.value) == f"factorization has an unsupported shape: {problem}"
+
+
+def _views(f: FactoredCharPoly):
+    """f read in each mode that can read it."""
+    for mode in ("complex", "real"):
+        try:
+            yield f.view(mode)
+        except (IrrationalSpectrum, RepeatedQuadraticFactor):
+            pass
+
+
+def _mutations(f: FactoredCharPoly):
+    """f's factors with one root, one multiplicity or one d changed.
+
+    No planted root has 1009 in its denominator, so a shifted root collides with none.
+    """
+    if f.linear:
+        (root, mult), rest = f.linear[0], f.linear[1:]
+        yield ((root + Fraction(1, 1009), mult),) + rest, f.quadratic
+        yield ((root, mult + 1),) + rest, f.quadratic
+    if f.quadratic:
+        (a, d), rest = f.quadratic[0], f.quadratic[1:]
+        yield f.linear, ((a, d + 1),) + rest
+
+
+def _assert_round_trip_agrees(f: FactoredCharPoly) -> None:
+    """The integer identity says what the Fraction expansion says, on f.poly, a shifted poly and mutants."""
+    oracle = expand(f.linear, f.quadratic)
+    assert oracle == f.poly and f.multiplies_out(*f.integral)
+    shifted = poly_add(f.poly, P(Fraction(1, 7)))
+    assert oracle != shifted and not f.multiplies_out(*integral_coeffs(shifted))
+    for linear, quadratic in _mutations(f):
+        assert expand(linear, quadratic) != f.poly
+        with pytest.raises(SelfCheckFailed, match="^factorization failed round-trip check$"):
+            FactoredCharPoly(f.mode, f.poly, linear, quadratic)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted(range(1, 13)))
+def test_integer_round_trip_matches_fraction_expansion(a):
+    with deadline(30):
+        charpoly = faddeev_leverrier(a)[0]
+        for mode in ("complex", "real"):
+            try:
+                f = factor_charpoly(charpoly, mode)
+            except RepeatedQuadraticFactor:
+                continue
+            for g in (f, *_views(f)):
+                _assert_round_trip_agrees(g)
+
+
+PAIR_DEN = 10**6 + 3
+
+
+# s^2 + 1/4 needs q = 4 though a = 0; (s + 1/3)^2 + 1/2 has d's denominator apart from a's;
+# ((s - (1 + 3i)/(10^6+3)) (s - (1 - 3i)/(10^6+3)))^6, a Q(i) pair at multiplicity 6
+@pytest.mark.parametrize(
+    "p, modes",
+    [
+        (P(Fraction(1, 4), 0, 1), ("complex", "real")),
+        (P(Fraction(11, 18), Fraction(2, 3), 1), ("real",)),
+        (poly_pow(P(Fraction(10, PAIR_DEN**2), Fraction(-2, PAIR_DEN), 1), 6), ("complex",)),
+    ],
+    ids=["quarter", "third_and_half", "gaussian_pair_6"],
+)
+def test_integer_round_trip_clears_every_denominator(p, modes):
+    with deadline(10):
+        for mode in modes:
+            _assert_round_trip_agrees(factor_charpoly(p, mode))
+
+
 # (s - 1)^2 (s + 1/2); (s^2 + 2s + 5)(s - 3), roots -1 +- 2i; (s^2 + 2)(s - 1), a real quadratic
 CARRIED = {
-    "rational": P(1, -2, 1) * P(Fraction(1, 2), 1),
-    "gaussian_pair": P(5, 2, 1) * P(-3, 1),
-    "real_quadratic": P(2, 0, 1) * P(-1, 1),
+    "rational": poly_mul(P(1, -2, 1), P(Fraction(1, 2), 1)),
+    "gaussian_pair": poly_mul(P(5, 2, 1), P(-3, 1)),
+    "real_quadratic": poly_mul(P(2, 0, 1), P(-1, 1)),
 }
 
 
@@ -298,13 +426,13 @@ def test_factor_auto_mode_and_views():
     assert f.view("real") == factor_charpoly(p, "real")
     assert f.view("real").view("complex") == f
     # s^2 + 2 has no Gaussian-rational roots: auto falls back to real
-    q = P(2, 0, 1) * P(-1, 1)
+    q = poly_mul(P(2, 0, 1), P(-1, 1))
     assert factor_charpoly(q, "auto") == factor_charpoly(q, "real")
 
 
 def test_factor_irrational_quadratic_repeated_is_irrational_first():
     # an irrational factor outranks a repeated quadratic in real mode
-    p = P(-2, 0, 1) * P(1, 0, 1) ** 2
+    p = poly_mul(P(-2, 0, 1), poly_pow(P(1, 0, 1), 2))
     with pytest.raises(IrrationalSpectrum) as err:
         factor_charpoly(p, "real")
     assert err.value.residual == P(-2, 0, 1)
@@ -347,7 +475,7 @@ def test_factor_three_gaussian_pairs_complex():
 def test_factor_cubed_gaussian_pair_companion():
     # (s^2 + 1)^3 = s^6 + 3s^4 + 3s^2 + 1
     p = _charpoly(Matrix.from_rows(companion(1, 0, 3, 0, 3, 0)))
-    assert p == P(1, 0, 1) ** 3
+    assert p == poly_pow(P(1, 0, 1), 3)
     with deadline(5):
         f = factor_charpoly(p, "complex")
         assert dict(f.linear) == {GaussianRational(0, 1): 3, GaussianRational(0, -1): 3}
@@ -377,7 +505,7 @@ def test_factor_names_the_irreducible_cubic():
 
 def test_factor_two_irreducible_cubics_names_one():
     # (s^3 - 2)(s^3 - 3) has no factor of degree <= 2; each cubic is irreducible
-    p = P(-2, 0, 0, 1) * P(-3, 0, 0, 1)
+    p = poly_mul(P(-2, 0, 0, 1), P(-3, 0, 0, 1))
     with pytest.raises(IrrationalSpectrum) as err:
         factor_charpoly(p, "auto")
     assert err.value.residual in (P(-2, 0, 0, 1), P(-3, 0, 0, 1))
