@@ -8,9 +8,9 @@ B_1, B_2, ..., truncated at the last nonzero one, form a chain
 so the final vector is an eigenvector and the j-th vector has generalized
 rank l - j + 1.  Chains are emitted unnormalized, exactly as column data.
 
-select_chain_basis greedily assembles a full basis of the generalized
-eigenspace from column chains (longest first, ties broken by lower column
-index), verifying joint linear independence with exact rank tests.
+select_chain_basis assembles a full basis of the generalized eigenspace
+from column chains in one complete greedy pass (longest first, ties broken
+by lower column index), verifying independence with exact rank tests.
 """
 
 from __future__ import annotations
@@ -136,54 +136,48 @@ def membership_check(pfd: ResolventPFD, eigenvalue_index: int, v) -> tuple[bool,
 def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
     """Chain-basis assembly for one eigenvalue from whole column chains.
 
-    Candidates are ordered longest first (ties: lower column index) and a
-    chain is admitted only when all its vectors extend the current
-    independent set.  The greedy admit-first pass is backed by exhaustive
-    backtracking, so the result is deterministic, equals the plain greedy
-    answer whenever that succeeds, and IncompleteBasis is raised only when
-    no subset of whole column chains can carry r_i independent vectors.
+    One pass, longest first (ties: lower column index), admits a chain when
+    it fits in r_i vectors and all its vectors extend the independent set.
+    It falls short, raising IncompleteBasis, only when no subset spans:
+    - Lemma: with S = A - lambda I, chains x, Sx, .., S^(L-1)x with S^L x = 0
+      are jointly independent exactly when their last vectors are (apply
+      S^h to a dependency, h the largest L_k - 1 - i with a nonzero
+      coefficient: only the last vectors survive).  Column chains are such
+      chains: B_(j+1) = S B_j, S B_r = 0, each cut at its last nonzero column.
+    - Spanning forces the partition: dim K_L, K_L = ker S cap im S^(L-1) on the
+      generalized eigenspace, is the number of blocks of size >= L, and K_L
+      holds the last vector of every chain of length >= L.  A spanning subset
+      thus has dim K_L chains of length >= L whose last vectors span K_L, so
+      W_L = K_L for all L, W_L spanned by the last vectors of all candidates
+      of length >= L.
+    - The pass is complete: by the lemma it holds a basis of W_L after the
+      chains of length >= L, so when every W_L = K_L it reaches
+      sum dim K_L = r_i; the fit test never rejects an independent chain.
+      It is an exhaustive search's first descent, so it returns the chains
+      that search returns.  All this holds whenever the column chains are
+      Jordan chains, as verify_pfd's recurrence and annihilation checks ask.
 
-    IncompleteBasis is a real outcome, not only a defensive guard: a
-    nilpotent structure with blocks (2, 2, 1) and no zero column in the
-    first coefficient matrix offers only length-2 column chains, whose
-    subsets all have even total and so can never span the 5-dimensional
-    generalized eigenspace.
+    IncompleteBasis is a real outcome: nilpotent blocks (2, 2, 1) with no
+    zero column in B_1 offer only length-2 chains, whose subsets carry an
+    even number of vectors and can never span 5 dimensions.
     """
     term = pfd.linear[eigenvalue_index]
     target = term.multiplicity
     candidates = sorted(
         extract_column_chains(pfd, eigenvalue_index), key=lambda c: (-c.length, c.column)
     )
-    selected = _search(candidates, target, 0, [], [])
-    if selected is None:
+    selected, stacked = [], []
+    for chain in candidates:
+        trial = stacked + list(chain.vectors)
+        if len(trial) <= target and rank(Matrix.from_rows(trial)) == len(trial):
+            selected.append(chain)
+            stacked = trial
+    if len(stacked) < target:
         raise IncompleteBasis(
             f"no subset of column chains spans the {target}-dimensional "
             f"generalized eigenspace of eigenvalue {term.eigenvalue}"
         )
     return ChainBasis(term.eigenvalue, tuple(selected))
-
-
-def _search(candidates: list[Chain], target: int, idx: int, chosen: list[Chain], stacked: list[tuple]):
-    """First admit-first extension of `chosen` by candidates[idx:] to `target` vectors, or None.
-
-    A module-level function: a nested one that calls itself forms a
-    function <-> closure-cell cycle that keeps every candidate chain alive
-    until the cyclic GC runs.
-    """
-    if len(stacked) == target:
-        return chosen
-    if idx == len(candidates):
-        return None
-    if len(stacked) + sum(c.length for c in candidates[idx:]) < target:
-        return None
-    chain = candidates[idx]
-    if len(stacked) + chain.length <= target:
-        trial = stacked + list(chain.vectors)
-        if rank(Matrix.from_rows(trial)) == len(trial):
-            found = _search(candidates, target, idx + 1, chosen + [chain], trial)
-            if found is not None:
-                return found
-    return _search(candidates, target, idx + 1, chosen, stacked)
 
 
 def geometric_multiplicity(a: Matrix, eigenvalue: Scalar) -> int:

@@ -105,8 +105,9 @@ class Poly:
 
 def integral_coeffs(p: Poly) -> tuple[tuple, int]:
     """A rational p's integer layout (numerators, den): p = sum_k numerators[k] s^k / den, den the lcm."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in p.coeffs), den
+    coeffs = [as_fraction(c) for c in p.coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
 @dataclass(frozen=True)
@@ -118,22 +119,23 @@ class FactoredCharPoly:
     each stored as (a, d) meaning (s+a)^2 + d with d > 0.
 
     Linear factors are sorted by (re, im) of the root; quadratics by (a, d).
-    Construction checks the shape (a known mode, positive int multiplicities,
-    no root or quadratic listed twice, the factor kinds the mode allows) and
-    then the round trip (`multiplies_out`): the factors must multiply out to
-    `poly`.  Either failure raises SelfCheckFailed (stage "factor").
+    Construction checks the shape (a known mode, rational coefficients,
+    positive int multiplicities, no root or quadratic listed twice, the
+    factor kinds the mode allows) and then the round trip (`multiplies_out`):
+    the factors must multiply out to `poly`.  Either failure raises
+    SelfCheckFailed (stage "factor").
     `integral` is `poly`'s integer layout, which both algorithms read.
     """
 
     mode: str
-    poly: Poly  # the polynomial factored, with Fraction coefficients
+    poly: Poly  # the polynomial factored, with rational coefficients
     linear: tuple = ()  # ((root, multiplicity), ...)
     quadratic: tuple = ()  # ((a, d), ...), real mode only
 
     def __post_init__(self):
         object.__setattr__(self, "linear", tuple(self.linear))
         object.__setattr__(self, "quadratic", tuple(self.quadratic))
-        problem = _shape_problem(self.mode, self.linear, self.quadratic)
+        problem = _shape_problem(self.mode, self.poly, self.linear, self.quadratic)
         if problem:
             raise SelfCheckFailed("factor", f"factorization has an unsupported shape: {problem}")
         if not self.multiplies_out(*self.integral):
@@ -187,10 +189,12 @@ class FactoredCharPoly:
         return _view(self.poly, rational, quadratic, mode)
 
 
-def _shape_problem(mode: str, linear: tuple, quadratic: tuple) -> str:
-    """How (mode, linear, quadratic) breaks FactoredCharPoly's documented shape, or ""."""
+def _shape_problem(mode: str, poly: Poly, linear: tuple, quadratic: tuple) -> str:
+    """How (mode, poly, linear, quadratic) breaks FactoredCharPoly's documented shape, or ""."""
     if mode not in ("complex", "real"):
         return f"unknown mode {mode!r}"
+    if not all(is_rational(c) for c in poly.coeffs):
+        return "a coefficient of the polynomial is not rational"
     if not all(type(mult) is int and mult > 0 for _, mult in linear):
         return "a multiplicity is not a positive int"
     if len({scalar_key(root) for root, _ in linear}) < len(linear):

@@ -167,16 +167,16 @@ def is_rational(x) -> bool:
 
 
 def as_fraction(x) -> Fraction:
-    """Demote x to a Fraction; raises ValueError if it is genuinely irrational/complex."""
+    """Demote x to a Fraction (a Fraction as it is); raises ValueError if it is genuinely irrational/complex."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
     if isinstance(x, GaussianRational) and x.im == 0:
         return x.re
     raise ValueError(f"{x!r} is not a rational value")
 
 
 def scalar_re(x) -> Fraction:
-    return x.re if isinstance(x, GaussianRational) else Fraction(x)
+    return x.re if isinstance(x, GaussianRational) else as_fraction(x)
 
 
 def scalar_im(x) -> Fraction:
@@ -219,7 +219,7 @@ def parse_scalar(token: str) -> Fraction | GaussianRational:
 def _spell(x, rational) -> str:
     """The case analysis of every scalar spelling; `rational` spells one Fraction."""
     if isinstance(x, (int, Fraction)):
-        return rational(Fraction(x))
+        return rational(as_fraction(x))
     if not isinstance(x, GaussianRational):
         raise TypeError(f"unsupported scalar type: {type(x).__name__}")
     if x.im == 0:

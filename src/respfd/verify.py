@@ -177,8 +177,8 @@ def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
         try:
             basis = select_chain_basis(pfd, idx)
         except IncompleteBasis:
-            # a real, exhaustively verified outcome: whole column chains
-            # cannot span this generalized eigenspace (see select_chain_basis)
+            # a real outcome: the complete greedy pass shows that whole column
+            # chains cannot span this generalized eigenspace (see select_chain_basis)
             checks.append(
                 CheckResult(
                     f"chain_basis[{label}]",

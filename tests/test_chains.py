@@ -9,6 +9,7 @@ import pytest
 
 from itertools import combinations
 
+import respfd.chains
 from respfd.chains import (
     extract_column_chains,
     generalized_rank,
@@ -23,6 +24,9 @@ from tests.conftest import (
     GOLDEN_3X3_CHAINS,
     GOLDEN_3X3_IVP,
     GOLDEN_MATRICES,
+    block_diagonal,
+    deadline,
+    disguised,
     random_jordan_matrix,
 )
 
@@ -196,6 +200,54 @@ def test_incomplete_basis_is_genuine_when_raised():
     with pytest.raises(IncompleteBasis):
         select_chain_basis(pfd, 0)
     assert no_chain_subset_spans(chains, 5)
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Every partition of n, parts in non-increasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _disguised_nilpotent(blocks, seed: int) -> Matrix:
+    jordan = [[[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)] for size in blocks]
+    return disguised(block_diagonal(*jordan), seed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_greedy_pass_is_complete_on_every_nilpotent_partition(n):
+    for blocks in _partitions(n):
+        for seed in (1, 2):
+            pfd = decompose(_disguised_nilpotent(blocks, seed), "complex")
+            impossible = no_chain_subset_spans(extract_column_chains(pfd, 0), n)
+            try:
+                basis = select_chain_basis(pfd, 0)
+            except IncompleteBasis:
+                assert impossible, (blocks, seed)
+                continue
+            assert not impossible
+            assert sorted((c.length for c in basis.chains), reverse=True) == list(blocks)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_refusal_takes_one_rank_test_per_candidate(seed, monkeypatch):
+    # blocks (2, 2, 2, 2, 2, 1, 1): twelve candidate chains, and whole ones cannot span
+    pfd = decompose(_disguised_nilpotent((2, 2, 2, 2, 2, 1, 1), seed), "complex")
+    candidates = len(extract_column_chains(pfd, 0))
+    assert candidates == 12
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(respfd.chains, "rank", counted)
+    with deadline(10), pytest.raises(IncompleteBasis):
+        select_chain_basis(pfd, 0)
+    assert len(calls) <= candidates
 
 
 def test_select_basis_leaves_no_cyclic_garbage():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import respfd.pfd
-from respfd.errors import EvalAtPole
+from respfd.errors import EvalAtPole, SelfCheckFailed
 from respfd.exponential import decompose
 from respfd.io import render_pfd
 from respfd.linalg import Matrix, faddeev_leverrier, inverse
@@ -21,7 +21,7 @@ from respfd.pfd import (
     verify_pfd,
     verify_real_pfd,
 )
-from respfd.polynomials import factor_charpoly
+from respfd.polynomials import factor_charpoly, integral_coeffs
 from respfd.scalars import GaussianRational, rational_sqrt
 from tests import reference
 from tests.conftest import (
@@ -362,3 +362,14 @@ def test_projector_family_random(rng):
         report = verify_pfd(a, pfd)
         assert all_passed(report), [r.name for r in report if not r.passed]
         assert [term.multiplicity for term in pfd.linear] == [alg for _, alg, _ in spectrum]
+
+
+def test_residue_series_rejects_an_eigenvalue_that_does_not_divide():
+    # s^2 + 1 has no root 1; a FactoredCharPoly could not list it, so the series is called directly
+    charpoly, adjugate = faddeev_leverrier(Matrix.from_rows([[0, -1], [1, 0]]))
+    coeffs, h_den = integral_coeffs(charpoly)
+    numerators = [(c.re, c.im, c.d) for c in adjugate.coeff_matrices]
+    with pytest.raises(SelfCheckFailed) as err:
+        respfd.pfd._residue_series([(c, 0) for c in coeffs], h_den, numerators, Fraction(1), 1)
+    assert err.value.stage == "pfd"
+    assert str(err.value) == "eigenvalue does not divide the characteristic polynomial"

@@ -303,6 +303,13 @@ def test_factorization_must_multiply_out_to_its_polynomial(linear, quadratic):
             ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
             "a quadratic factor is listed twice",
         ),
+        (
+            "complex",
+            Poly((GaussianRational(0, -1), 1)),
+            ((GaussianRational(0, 1), 1),),
+            (),
+            "a coefficient of the polynomial is not rational",
+        ),
     ],
     ids=[
         "unknown_mode",
@@ -312,6 +319,7 @@ def test_factorization_must_multiply_out_to_its_polynomial(linear, quadratic):
         "real_gaussian_roots",
         "real_d_not_positive",
         "real_quadratic_twice",
+        "gaussian_coefficient",
     ],
 )
 def test_factorization_must_have_its_documented_shape(mode, p, linear, quadratic, problem):
@@ -319,6 +327,12 @@ def test_factorization_must_have_its_documented_shape(mode, p, linear, quadratic
         FactoredCharPoly(mode, p, linear, quadratic)
     assert err.value.stage == "factor"
     assert str(err.value) == f"factorization has an unsupported shape: {problem}"
+
+
+def test_factorization_reads_rational_coefficients_of_either_type():
+    p = Poly((GaussianRational(1), GaussianRational(-2), GaussianRational(1)))
+    f = FactoredCharPoly("complex", p, ((1, 2),))
+    assert f.integral == ((1, -2, 1), 1)
 
 
 def _views(f: FactoredCharPoly):
