@@ -62,7 +62,6 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
-    s_identity_minus,
     solve,
 )
 from .pfd import (

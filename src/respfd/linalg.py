@@ -9,8 +9,7 @@ planes, and every operation runs on Python ints:
   arithmetic    +, -, negation and scalar * (a Q or Q(i) scalar) are one
                 combine_integral; ==, hash and is_zero compare the planes.
   products      flat_matmul, on flat row-major lists, is the one product loop.
-                Matrix @ and mat_vec are one integer product over d_x d_y;
-                PolyMatrix @ sums each output coefficient in one accumulator.
+                Matrix @ and mat_vec are one integer product over d_x d_y.
   elimination   det, rank, nullspace, solve_many and inverse divide each row
                 slice of the planes by its content and run Bareiss'
                 fraction-free elimination over Z or Z[i], every division a
@@ -410,7 +409,11 @@ def normalize_vector(v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A matrix polynomial C_0 + C_1 s + ... + C_m s^m with Matrix coefficients."""
+    """A matrix polynomial C_0 + C_1 s + ... + C_m s^m with Matrix coefficients.
+
+    A container for adj(sI - A) with no arithmetic: callers read its
+    coefficients through coeff, which is zero below 0 and above the degree.
+    """
 
     size: int
     coeff_matrices: tuple
@@ -429,32 +432,6 @@ class PolyMatrix:
         if 0 <= k < len(self.coeff_matrices):
             return self.coeff_matrices[k]
         return Matrix.zeros(self.size, self.size)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix-polynomial product; each output coefficient sums its plane products in one integer accumulator."""
-        n = self.size
-        if not self.coeff_matrices or not other.coeff_matrices:
-            return PolyMatrix(n, ())
-        xs = [(c.re, c.im, c.d) for c in self.coeff_matrices]
-        ys = [(c.re, c.im, c.d) for c in other.coeff_matrices]
-        out = []
-        for k in range(len(xs) + len(ys) - 1):
-            products = [
-                ((1, 0), 1, (*_plane_matmul(xs[i][:2], ys[k - i][:2], n, n, n), xs[i][2] * ys[k - i][2]))
-                for i in range(max(0, k - len(ys) + 1), min(k, len(xs) - 1) + 1)
-            ]
-            out.append(from_integral(*combine_integral(products), n, n))
-        return PolyMatrix(n, tuple(out))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeff_matrices
-
-
-def s_identity_minus(a: Matrix) -> PolyMatrix:
-    """The pencil sI - A."""
-    n = a.nrows
-    return PolyMatrix(n, (-a, Matrix.identity(n)))
 
 
 _QI_TYPES = {Fraction, GaussianRational, int, bool}

@@ -27,6 +27,7 @@ _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
 _GAUSSIAN_RE = _re.compile(
     r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?(?:\d+(?:/\d+)?)?)i"
 )
+_ZERO = Fraction(0)
 
 
 class GaussianRational:
@@ -34,9 +35,10 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re: Fraction | int = _ZERO, im: Fraction | int = _ZERO):
+        # a Fraction is immutable, so one is kept as it is; anything else is converted
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -180,7 +182,7 @@ def scalar_re(x) -> Fraction:
 
 
 def scalar_im(x) -> Fraction:
-    return x.im if isinstance(x, GaussianRational) else Fraction(0)
+    return x.im if isinstance(x, GaussianRational) else _ZERO
 
 
 def scalar_key(x) -> tuple[Fraction, Fraction]:

@@ -19,17 +19,7 @@ from .exponential import (
     premultiply,
     relative_error,
 )
-from .linalg import (
-    Matrix,
-    PolyMatrix,
-    det,
-    faddeev_leverrier,
-    flat_matmul,
-    mat_vec,
-    rank,
-    s_identity_minus,
-    vec_is_zero,
-)
+from .linalg import Matrix, det, faddeev_leverrier, flat_matmul, rank
 from .pfd import (
     CheckResult,
     ResolventPFD,
@@ -53,11 +43,14 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
     eye = Matrix.identity(n)
     charpoly, adjugate = faddeev_leverrier(a)
 
-    pencil = s_identity_minus(a)
-    product = pencil @ adjugate
-    expected = PolyMatrix(n, tuple(eye * c for c in charpoly.coeffs))
+    # with adj(sI - A) = sum C_k s^k, the coefficient of s^k is C_{k-1} - A C_k = c_k I,
+    # for every power either side reaches
+    adjugate_ok = all(
+        adjugate.coeff(k - 1) - a @ adjugate.coeff(k) == eye * charpoly.coeff(k)
+        for k in range(max(adjugate.degree + 1, charpoly.degree) + 1)
+    )
     checks.append(
-        CheckResult("adjugate_identity", product == expected, "(sI - A) adj(sI - A) = det(sI - A) I")
+        CheckResult("adjugate_identity", adjugate_ok, "(sI - A) adj(sI - A) = det(sI - A) I")
     )
     sign = Fraction(1) if n % 2 == 0 else Fraction(-1)
     checks.append(
@@ -159,18 +152,18 @@ def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     checks = []
     n = a.nrows
     eye = Matrix.identity(n)
+    zero = (0,) * n
     all_vectors = []
     expected_union = 0
     for idx, term in enumerate(pfd.linear):
         label = f"lambda={term.eigenvalue}"
         shifted = a - eye * term.eigenvalue
-        structure_ok = True
-        for chain in extract_column_chains(pfd, idx):
-            for v, w in zip(chain.vectors, chain.vectors[1:]):
-                if mat_vec(shifted, v) != w:
-                    structure_ok = False
-            if not vec_is_zero(mat_vec(shifted, chain.vectors[-1])):
-                structure_ok = False
+        # one product per eigenvalue: (A - lambda I) V = W, V's columns its chain vectors
+        # and W's their successors, the zero vector after each chain's last
+        chains = extract_column_chains(pfd, idx)
+        vectors = [v for chain in chains for v in chain.vectors]
+        successors = [w for chain in chains for w in (*chain.vectors[1:], zero)]
+        structure_ok = not vectors or shifted @ Matrix(zip(*vectors)) == Matrix(zip(*successors))
         checks.append(
             CheckResult(f"chain_structure[{label}]", structure_ok, "(A-lambda I) maps each chain forward")
         )

@@ -1,4 +1,8 @@
-"""Shared fixtures: golden matrices and the planted-Jordan random generator."""
+"""Shared test helpers: golden matrices, the planted-Jordan random generator,
+the hypothesis strategy `planted` and the small matrices several modules use.
+
+Test modules import shared helpers from here, never from one another.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from respfd.linalg import Matrix, inverse
 
@@ -27,6 +32,20 @@ GOLDEN_MATRICES = [
 ]
 
 NILPOTENT_2X2 = Matrix.from_rows([[0, 1], [0, 0]])
+
+# nilpotent with blocks (2, 2, 1): every column chain has length 2, so any
+# subset of whole chains carries an even vector count and can never be 5
+NILPOTENT_221 = Matrix.from_rows(
+    [
+        [1, 1, 1, 1, 1],
+        [-1, -1, -1, -2, -1],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
+)
+
+REPEATED_QUAD_FILE = "0 -1 0 0\n1 0 0 0\n0 0 0 -1\n0 0 1 0\n"  # (s^2+1)^2
 
 EIGENVALUE_POOL = [
     Fraction(-3),
@@ -162,3 +181,48 @@ def disguised(a: Matrix, seed: int) -> Matrix:
     """S A S^{-1} for a seeded unimodular S: same spectrum, dense entries."""
     s = _random_unimodular(random.Random(seed), a.nrows)
     return s @ a @ inverse(s)
+
+
+BIG_PRIME = 10**6 + 3
+halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+rational_eigenvalues = st.one_of(
+    halves,
+    st.integers(-BIG_PRIME, BIG_PRIME).map(lambda k: Fraction(k, BIG_PRIME)),
+    st.integers(2**23, 2**24).map(Fraction),
+)
+
+
+def _jordan_block(lam: Fraction, size: int) -> list:
+    return [[lam if i == j else 1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def planted(draw, sizes: range) -> Matrix:
+    n = draw(st.sampled_from(sizes))
+    blocks, size, big = [], 0, 0
+    while size < n:
+        if n - size >= 2 and draw(st.booleans()):
+            mult = draw(st.integers(1, min(3, (n - size) // 2)))
+            blocks.append(gaussian_block(draw(halves), draw(halves.filter(bool)), mult))
+            size += 2 * mult
+            continue
+        lam = draw(rational_eigenvalues)
+        length = draw(st.integers(1, min(3, n - size)))
+        if lam.denominator == 1 and abs(lam) >= 2**23:
+            if big == 2:
+                lam = Fraction(1, 2)
+            big, length = big + 1, 1  # at most two, so det(A) stays near 48 bits
+        blocks.append(_jordan_block(lam, length))
+        size += length
+    a = block_diagonal(*blocks)
+    if n > 1:
+        a = disguised(a, draw(st.integers(0, 10**6)))
+    scaling = draw(st.sampled_from(["none", "halves", "big", "mixed"]))
+    if scaling == "halves":
+        a = a * Fraction(1, 2)
+    elif scaling == "big":
+        a = a * Fraction(1, BIG_PRIME)
+    elif scaling == "mixed":  # D A D^{-1}: same spectrum, mixed entry denominators
+        d = [draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(BIG_PRIME)])) for _ in range(n)]
+        a = Matrix(tuple(tuple(x * d[i] / d[j] for j, x in enumerate(row)) for i, row in enumerate(a.rows)))
+    return a

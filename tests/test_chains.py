@@ -24,24 +24,12 @@ from tests.conftest import (
     GOLDEN_3X3_CHAINS,
     GOLDEN_3X3_IVP,
     GOLDEN_MATRICES,
+    NILPOTENT_221,
     block_diagonal,
     deadline,
     disguised,
     random_jordan_matrix,
 )
-
-# nilpotent with blocks (2, 2, 1): every column chain has length 2, so any
-# subset of whole chains carries an even vector count and can never be 5
-NILPOTENT_221 = Matrix.from_rows(
-    [
-        [1, 1, 1, 1, 1],
-        [-1, -1, -1, -2, -1],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-    ]
-)
-
 
 @pytest.fixture(scope="module")
 def golden_pfd():

@@ -10,14 +10,13 @@ import pytest
 
 from respfd import cli
 from respfd.cli import build_parser, run
-from tests.conftest import deadline
+from tests.conftest import REPEATED_QUAD_FILE, deadline
 
 GOLDEN_CHAINS_FILE = "0 1 2\n-2 4 0\n-1 1 2\n"
 IVP_FILE = "-5 6 2\n-6 7 2\n6 -6 -1\n"
 SPIRAL_FILE = "1 9 6\n-6 -20 -12\n9 24 13\n"
 ROTATION_FILE = "5 17\n-2 -5\n"
 IRRATIONAL_FILE = "0 2\n1 0\n"  # characteristic polynomial s^2 - 2
-REPEATED_QUAD_FILE = "0 -1 0 0\n1 0 0 0\n0 0 0 -1\n0 0 1 0\n"  # (s^2+1)^2
 SHIFTED_REPEATED_QUAD_FILE = "0 0 0 -1\n1 0 0 2\n0 1 0 -3\n0 0 1 2\n"  # (s^2-s+1)^2
 
 

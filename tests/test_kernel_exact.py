@@ -1,16 +1,16 @@
 """The integer kernel against the Fraction reference, bit for bit (derandomized).
 
 faddeev_leverrier, pfd_residue, Matrix arithmetic (+, -, scalar *, ==, the
-canonical planes behind rows), Matrix / PolyMatrix products, Bareiss
-elimination (det, rank, nullspace, solve_many, inverse) and the
-undetermined-coefficient solve run on integer planes; tests/reference.py
-holds the Fraction versions they replaced.  Planted matrices S J S^{-1}
-cover n = 1..12, rational Jordan blocks (halves, eigenvalues near 2^23 so
-det(A) reaches about 48 bits), Q(i) pairs in real Jordan form with
-multiplicity up to 3, and entry denominators that are halves, 10^6 + 3, or
-mixed through a rational diagonal similarity.  Random dense and sparse
-matrices cover rectangular shapes, Gaussian x rational operands, zero and
-rank-deficient matrices, row swaps and inconsistent systems.
+canonical planes behind rows), Matrix products, Bareiss elimination (det,
+rank, nullspace, solve_many, inverse) and the undetermined-coefficient solve
+run on integer planes; tests/reference.py holds the Fraction versions they
+replaced.  Planted matrices S J S^{-1} (conftest.planted) cover n = 1..12,
+rational Jordan blocks (halves, eigenvalues near 2^23 so det(A) reaches about
+48 bits), Q(i) pairs in real Jordan form with multiplicity up to 3, and entry
+denominators that are halves, 10^6 + 3, or mixed through a rational diagonal
+similarity.  Random dense and sparse matrices cover rectangular shapes,
+Gaussian x rational operands, zero and rank-deficient matrices, row swaps and
+inconsistent systems.
 """
 
 from __future__ import annotations
@@ -32,59 +32,13 @@ from respfd.linalg import (
     mat_vec,
     nullspace,
     rank,
-    s_identity_minus,
     solve_many,
 )
 from respfd.pfd import _solve_undetermined, pfd_real, pfd_residue, reconstruct_resolvent, sample_points
 from respfd.polynomials import factor_charpoly
 from respfd.scalars import GaussianRational, format_scalar, scalar_im, scalar_re
 from tests import reference
-from tests.conftest import block_diagonal, deadline, disguised, gaussian_block
-
-BIG_PRIME = 10**6 + 3
-halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
-rational_eigenvalues = st.one_of(
-    halves,
-    st.integers(-BIG_PRIME, BIG_PRIME).map(lambda k: Fraction(k, BIG_PRIME)),
-    st.integers(2**23, 2**24).map(Fraction),
-)
-
-
-def _jordan_block(lam: Fraction, size: int) -> list:
-    return [[lam if i == j else 1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
-
-
-@st.composite
-def planted(draw, sizes: range) -> Matrix:
-    n = draw(st.sampled_from(sizes))
-    blocks, size, big = [], 0, 0
-    while size < n:
-        if n - size >= 2 and draw(st.booleans()):
-            mult = draw(st.integers(1, min(3, (n - size) // 2)))
-            blocks.append(gaussian_block(draw(halves), draw(halves.filter(bool)), mult))
-            size += 2 * mult
-            continue
-        lam = draw(rational_eigenvalues)
-        length = draw(st.integers(1, min(3, n - size)))
-        if lam.denominator == 1 and abs(lam) >= 2**23:
-            if big == 2:
-                lam = Fraction(1, 2)
-            big, length = big + 1, 1  # at most two, so det(A) stays near 48 bits
-        blocks.append(_jordan_block(lam, length))
-        size += length
-    a = block_diagonal(*blocks)
-    if n > 1:
-        a = disguised(a, draw(st.integers(0, 10**6)))
-    scaling = draw(st.sampled_from(["none", "halves", "big", "mixed"]))
-    if scaling == "halves":
-        a = a * Fraction(1, 2)
-    elif scaling == "big":
-        a = a * Fraction(1, BIG_PRIME)
-    elif scaling == "mixed":  # D A D^{-1}: same spectrum, mixed entry denominators
-        d = [draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(BIG_PRIME)])) for _ in range(n)]
-        a = Matrix(tuple(tuple(x * d[i] / d[j] for j, x in enumerate(row)) for i, row in enumerate(a.rows)))
-    return a
-
+from tests.conftest import BIG_PRIME, deadline, halves, planted
 
 def _check_against_reference(a: Matrix) -> None:
     with deadline(30):
@@ -297,5 +251,3 @@ def test_undetermined_solve_matches_fraction_reference(a, mode):
         if pfd.linear:
             with pytest.raises(EvalAtPole):
                 reconstruct_resolvent(pfd, pfd.linear[0].eigenvalue)
-        pencil = s_identity_minus(a)
-        assert pencil @ adjugate == reference.polymatrix_matmul(pencil, adjugate)

@@ -16,7 +16,6 @@ from respfd.linalg import (
     mat_vec,
     nullspace,
     rank,
-    s_identity_minus,
     solve,
     solve_many,
 )
@@ -161,7 +160,8 @@ def test_adjugate_identity_random(rng):
         a, _ = random_jordan_matrix(rng)
         charpoly, adjugate = faddeev_leverrier(a)
         n = a.nrows
-        product = s_identity_minus(a) @ adjugate
+        pencil = PolyMatrix(n, (-a, Matrix.identity(n)))  # sI - A
+        product = reference.polymatrix_matmul(pencil, adjugate)
         expected = PolyMatrix(n, tuple(Matrix.identity(n) * c for c in charpoly.coeffs))
         assert product == expected
         # det(sI-A) at 0 vs independent determinant

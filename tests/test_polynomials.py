@@ -18,8 +18,7 @@ from respfd.errors import (
 from respfd.linalg import Matrix, faddeev_leverrier
 from respfd.polynomials import FactoredCharPoly, Poly, factor_charpoly, integral_coeffs
 from respfd.scalars import GaussianRational
-from tests.conftest import block_diagonal, companion, deadline, disguised
-from tests.test_kernel_exact import planted
+from tests.conftest import block_diagonal, companion, deadline, disguised, planted
 from tests.reference import (
     expand,
     linear_factor,

@@ -13,6 +13,7 @@ from respfd.scalars import (
     parse_rational,
     parse_scalar,
     rational_sqrt,
+    scalar_im,
 )
 from tests.surds import SqrtExt
 
@@ -24,6 +25,16 @@ def test_rational_arithmetic_textbook():
 def test_gaussian_i_squared():
     i = GaussianRational(0, 1)
     assert i * i == Fraction(-1)
+
+
+def test_gaussian_keeps_fraction_parts_and_converts_ints():
+    f, g = Fraction(3, 7), Fraction(-5, 2)
+    z = GaussianRational(f, g)
+    assert z.re is f and z.im is g
+    w = GaussianRational(2, True)
+    assert (type(w.re), type(w.im)) == (Fraction, Fraction)
+    assert (w.re, w.im) == (Fraction(2), Fraction(1))
+    assert scalar_im(Fraction(1, 2)) == 0 and type(scalar_im(7)) is Fraction
 
 
 def test_sqrt_ext_difference_of_squares():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,11 +12,19 @@ import pytest
 import respfd.cli
 import respfd.verify
 from respfd.io import parse_matrix
+from respfd.linalg import Matrix, PolyMatrix, faddeev_leverrier
 from respfd.pfd import all_passed
 from respfd.verify import verification_report
-from tests.conftest import block_diagonal, deadline, disguised, gaussian_block
-from tests.test_chains import NILPOTENT_221
-from tests.test_cli import REPEATED_QUAD_FILE
+from tests.conftest import (
+    GOLDEN_3X3_CHAINS,
+    NILPOTENT_2X2,
+    NILPOTENT_221,
+    REPEATED_QUAD_FILE,
+    block_diagonal,
+    deadline,
+    disguised,
+    gaussian_block,
+)
 
 
 def test_cli_runs_the_report_of_the_verify_module():
@@ -55,3 +64,47 @@ def test_largest_gaussian_multiplicity_verifies_promptly(seed):
     with deadline(10):
         checks = verification_report(a, "complex")
     assert all_passed(checks)
+
+
+def _bump_entry(m: Matrix) -> Matrix:
+    """m with its (0, 1) entry raised by 1."""
+    rows = [list(row) for row in m.rows]
+    rows[0][1] += 1
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("tamper", ["C_0", "C_n-1", "C_n"])
+def test_adjugate_identity_fails_on_a_wrong_adjugate_coefficient(monkeypatch, tamper):
+    a = GOLDEN_3X3_CHAINS if tamper != "C_n" else NILPOTENT_2X2
+    charpoly, adjugate = faddeev_leverrier(a)
+    coeffs = list(adjugate.coeff_matrices)
+    if tamper == "C_0":
+        coeffs[0] = _bump_entry(coeffs[0])
+    elif tamper == "C_n-1":
+        coeffs[-1] = _bump_entry(coeffs[-1])
+    else:  # a coefficient above the true degree n - 1, with A C_n = 0: only s^{n+1} shows it
+        coeffs.append(Matrix([[1, 0], [0, 0]]))
+    monkeypatch.setattr(respfd.verify, "faddeev_leverrier", lambda m: (charpoly, PolyMatrix(m.nrows, tuple(coeffs))))
+    by_name = {c.name: c for c in verification_report(a, "complex")}
+    assert not by_name["adjugate_identity"].passed
+    assert by_name["det_consistency"].passed  # the characteristic polynomial is the true one
+
+
+@pytest.mark.parametrize("tamper", ["cut", "doubled"])
+def test_chain_structure_fails_on_a_broken_chain(monkeypatch, tamper):
+    extract = respfd.verify.extract_column_chains
+
+    def broken(pfd, idx):
+        chains = extract(pfd, idx)
+        first = chains[0]
+        assert first.length >= 2
+        if tamper == "cut":  # its last vector is no longer an eigenvector's successor
+            vectors = first.vectors[:-1]
+        else:  # v_1 twice: (A - lambda I) v_1 is not v_1
+            vectors = (first.vectors[0], *first.vectors)
+        return [dataclasses.replace(first, vectors=vectors), *chains[1:]]
+
+    monkeypatch.setattr(respfd.verify, "extract_column_chains", broken)
+    by_name = {c.name: c for c in verification_report(GOLDEN_3X3_CHAINS, "complex")}
+    assert not by_name["chain_structure[lambda=2]"].passed
+    assert by_name["adjugate_identity"].passed
