@@ -15,16 +15,15 @@ by lower column index), verifying independence with exact rank tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import IncompleteBasis, InconsistentSystem, NotAGeneralizedEigenvector, SelfCheckFailed
 from .linalg import Matrix, mat_vec, rank, solve, vec_is_zero
 from .pfd import ResolventPFD
+from .record import Record
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """One chain v_1 -> v_2 -> ... -> v_l ending with an eigenvector."""
 
     eigenvalue: Scalar
@@ -39,8 +38,7 @@ class Chain:
         return self.vectors[-1]
 
 
-@dataclass(frozen=True)
-class ChainBasis:
+class ChainBasis(Record):
     """Jointly independent chains spanning one generalized eigenspace."""
 
     eigenvalue: Scalar

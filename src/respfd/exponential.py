@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .errors import DimensionMismatch
 from .linalg import Matrix, faddeev_leverrier, flat_matmul, mat_vec, vec_is_zero
 from .pfd import pfd_real, pfd_residue
 from .polynomials import factor_charpoly
+from .record import Record
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -40,8 +40,7 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(Record):
     """One scalar basis function of t.
 
     kind "exp":  t^k e^{lam t}            (parameters lam, k)
@@ -93,8 +92,7 @@ def sin_basis(a: Fraction, d: Fraction) -> BasisFunction:
     return BasisFunction("sin", a=a, d=d, inv_scale=rational_sqrt(d) is None)
 
 
-@dataclass(frozen=True)
-class ClosedFormExp:
+class ClosedFormExp(Record):
     """Exact symbolic matrix exponential: sum of basis * coefficient terms."""
 
     matrix: Matrix
@@ -280,8 +278,7 @@ def matrix_exponential(a: Matrix, mode: str = "auto", hints=None) -> ClosedFormE
     return exp_from_pfd(decompose(a, mode, hints))
 
 
-@dataclass(frozen=True)
-class IVPSolution:
+class IVPSolution(Record):
     """Closed-form solution of y' = A y, y(0) = y0."""
 
     matrix: Matrix
@@ -307,8 +304,7 @@ class IVPSolution:
         return [z.real for z in acc]
 
 
-@dataclass(frozen=True)
-class GeneralSolution:
+class GeneralSolution(Record):
     """Fundamental solutions (columns of e^{tA}) with symbolic constants."""
 
     matrix: Matrix

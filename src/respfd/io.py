@@ -2,21 +2,22 @@
 
 Matrix files: one row per line, whitespace-separated exact rational tokens
 (`-12`, `3/4`); blank lines and lines starting with `#` are ignored.  The
-matrix must be square.  Rendering a matrix back to file text round-trips
-bit-exactly.
+matrix must be square.  parse_matrix reads each token straight into integers
+(p, q) and builds the planes over their lcm; matrix_to_file_text inverts it.
 
-Text and LaTeX share one formatter per object (polynomial, factored
-characteristic polynomial, quadratic factor, basis function, solution
-components), and its `fmt` argument picks the spelling: the scalar
-formatter, `^k` or `^{k}` for exponents, and the parentheses that text alone
-puts around a p/q coefficient of a variable (`_operand`).  LaTeX output
-emits bmatrix blocks arranged as sums of basis functions times matrices.
-JSON output encodes every rational scalar as a string (exactness survives
-serialization) and Gaussian rationals as two-field {"re", "im"} objects.
+Every matrix entry is spelled from the integer planes (spell_integral), every
+other scalar through the same case analysis.  Text and LaTeX share one
+formatter per object (polynomial, factored characteristic polynomial,
+quadratic factor, basis function, solution components); `fmt` picks the
+scalar spelling, `^k` or `^{k}` for exponents, and the parentheses that text
+alone puts around a p/q coefficient of a variable (`_operand`).  LaTeX emits
+bmatrix blocks summed as basis functions times matrices; JSON gives every
+rational as a string and a non-real value as {"re", "im"} strings.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import EmptyMatrix, MatrixParseError, NonSquareMatrix
@@ -26,18 +27,18 @@ from .exponential import (
     GeneralSolution,
     IVPSolution,
 )
-from .linalg import Matrix
+from .linalg import Matrix, from_integral
 from .pfd import CheckResult, all_passed
 from .polynomials import FactoredCharPoly, Poly
-from .scalars import format_scalar, is_rational, latex_scalar, parse_rational, rational_sqrt, scalar_re
+from .scalars import format_scalar, is_rational, latex_scalar, parse_ratio, rational_sqrt, scalar_re
+from .scalars import scalar_to_json, spell_integral
 
 
 def parse_matrix(data) -> Matrix:
     """Parse a square matrix from file bytes or text; exact entries only."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    rows = []
-    row_lines = []
+    rows = []  # (line number, the row's (p, q) integer pairs)
     for lineno, line in enumerate(data.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -45,39 +46,30 @@ def parse_matrix(data) -> Matrix:
         entries = []
         for col, token in enumerate(stripped.split(), start=1):
             try:
-                entries.append(parse_rational(token))
+                entries.append(parse_ratio(token))
             except (ValueError, ZeroDivisionError):
-                raise MatrixParseError(
-                    f"invalid rational token {token!r}", lineno, col
-                ) from None
-        rows.append(entries)
-        row_lines.append(lineno)
+                raise MatrixParseError(f"invalid rational token {token!r}", lineno, col) from None
+        rows.append((lineno, entries))
     if not rows:
         raise EmptyMatrix("matrix file contains no rows")
-    width = len(rows[0])
-    for row, lineno in zip(rows, row_lines):
+    width = len(rows[0][1])
+    for lineno, row in rows:
         if len(row) != width:
-            raise NonSquareMatrix(
-                f"row has {len(row)} entries, expected {width}", line=lineno
-            )
+            raise NonSquareMatrix(f"row has {len(row)} entries, expected {width}", line=lineno)
     if len(rows) != width:
         raise NonSquareMatrix(f"matrix is {len(rows)}x{width}, not square")
-    return Matrix.from_rows(rows)
+    ratios = [ratio for _, row in rows for ratio in row]
+    d = math.lcm(*(q for _, q in ratios))
+    return from_integral([p * (d // q) for p, q in ratios], None, d, width, width)
 
 
 def matrix_to_file_text(m: Matrix) -> str:
     """Inverse of parse_matrix: parse(matrix_to_file_text(M)) == M."""
-    return "\n".join(" ".join(format_scalar(x) for x in row) for row in m.rows) + "\n"
+    return "".join(" ".join(row) + "\n" for row in _cells(m, "text"))
 
 
 # ---------------------------------------------------------------------------
 # scalar / polynomial / matrix formatting
-
-
-def scalar_to_json(x):
-    if is_rational(x):
-        return format_scalar(x)
-    return {"re": str(x.re), "im": str(x.im)}
 
 
 # What text and LaTeX spell differently: the scalar and the exponent.
@@ -106,9 +98,15 @@ def format_vector(v) -> str:
     return "[" + ", ".join(format_scalar(x) for x in v) + "]"
 
 
+def _cells(m: Matrix, fmt: str) -> list:
+    """m's entries as rows, spelled in fmt from its integer planes."""
+    flat, n = spell_integral(m.re, m.im, m.d, fmt), m.ncols
+    return [flat[i * n : (i + 1) * n] for i in range(m.nrows)]
+
+
 def format_matrix_block(m: Matrix) -> str:
     """Aligned multi-line matrix rendering for text output, rows indented four spaces."""
-    cells = [[format_scalar(x) for x in row] for row in m.rows]
+    cells = _cells(m, "text")
     widths = [max(len(cells[i][j]) for i in range(m.nrows)) for j in range(m.ncols)]
     lines = []
     for row in cells:
@@ -117,21 +115,21 @@ def format_matrix_block(m: Matrix) -> str:
     return "\n".join(lines)
 
 
-def _bmatrix(rows) -> str:
-    body = "\\\\".join("&".join(latex_scalar(x) for x in row) for row in rows)
+def _bmatrix(cells) -> str:
+    body = "\\\\".join("&".join(row) for row in cells)
     return "\\begin{bmatrix}" + body + "\\end{bmatrix}"
 
 
 def latex_matrix(m: Matrix) -> str:
-    return _bmatrix(m.rows)
+    return _bmatrix(_cells(m, "latex"))
 
 
 def _latex_column(v) -> str:
-    return _bmatrix((x,) for x in v)
+    return _bmatrix([latex_scalar(x)] for x in v)
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(x) for x in row] for row in m.rows]
+    return _cells(m, "json")
 
 
 def format_poly(p: Poly, fmt: str = "text") -> str:
@@ -227,7 +225,7 @@ def _components_json(components) -> list:
 
 
 def _finish_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, check_circular=False) + "\n"
 
 
 def render_charpoly(factored: FactoredCharPoly, fmt: str) -> str:

@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge, SelfCheckFailed
 from .polynomials import Poly
+from .record import Record
 from .scalars import GaussianRational, Scalar
 
 # Exact adjugate/pfd cost grows fast with n; refuse clearly past this size.
@@ -407,8 +407,7 @@ def normalize_vector(v: Sequence) -> tuple:
     return tuple(Fraction(x // scale) for x in re)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """A matrix polynomial C_0 + C_1 s + ... + C_m s^m with Matrix coefficients.
 
     A container for adj(sI - A) with no arithmetic: callers read its

@@ -39,7 +39,6 @@ from scratch and report them individually.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalAtPole, SelfCheckFailed, SingularSeriesDivision
@@ -55,11 +54,11 @@ from .linalg import (
     solve_integral,
 )
 from .polynomials import FactoredCharPoly
+from .record import Record
 from .scalars import Scalar, scalar_im, scalar_key, scalar_re
 
 
-@dataclass(frozen=True)
-class EigenvalueTerm:
+class EigenvalueTerm(Record):
     """All coefficients attached to one eigenvalue: B_1 .. B_r."""
 
     eigenvalue: Scalar
@@ -71,8 +70,7 @@ class EigenvalueTerm:
         return self.coefficients[j - 1]
 
 
-@dataclass(frozen=True)
-class QuadraticTerm:
+class QuadraticTerm(Record):
     """Term ((s+a) P + Q) / ((s+a)^2 + d) for one irreducible quadratic."""
 
     a: Fraction
@@ -81,8 +79,7 @@ class QuadraticTerm:
     q_matrix: Matrix
 
 
-@dataclass(frozen=True)
-class ResolventPFD:
+class ResolventPFD(Record):
     """Complete decomposition in one mode, eigenvalues sorted by (re, im).
 
     `mode` is the factorization's mode, "complex" or "real"; real mode keeps
@@ -298,8 +295,7 @@ def reconstruct_resolvent(pfd, s0: Scalar) -> Matrix:
     return linear_combination(weights, matrices)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""

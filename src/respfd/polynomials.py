@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import HintMismatch, IrrationalSpectrum, RepeatedQuadraticFactor, SelfCheckFailed
+from .record import Record
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -51,8 +51,7 @@ def _strip(coeffs: Sequence[Scalar]) -> tuple:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial, coefficients ascending in degree."""
 
     coeffs: tuple = ()
@@ -110,8 +109,7 @@ def integral_coeffs(p: Poly) -> tuple[tuple, int]:
     return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
-@dataclass(frozen=True)
-class FactoredCharPoly:
+class FactoredCharPoly(Record):
     """Factorization of a monic rational polynomial `poly` into supported shapes.
 
     mode "complex": linear factors only, roots in Q or Q(i).

@@ -13,8 +13,9 @@ operator protocol, so polynomial and matrix code stays generic.
 
 Textual syntax used everywhere (files, CLI, JSON): integer ``-12``, rational
 ``p/q`` such as ``-3/4``, Gaussian rational ``re+im i`` such as ``-2+3i``.
-``parse_scalar(format_scalar(x)) == x`` holds bit-exactly.  latex_scalar
-spells the same values in LaTeX, with a LaTeX fraction for p/q.
+``parse_scalar(format_scalar(x)) == x`` holds bit-exactly.  One case analysis,
+_spell, writes p/q + (ip/iq)i, from reduced integers, as text, LaTeX or JSON:
+for one scalar, and through spell_integral for each entry of integer planes.
 """
 
 from __future__ import annotations
@@ -190,13 +191,20 @@ def scalar_key(x) -> tuple[Fraction, Fraction]:
     return (scalar_re(x), scalar_im(x))
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse strict integer / p/q syntax; rejects decimals and whitespace."""
-    token = token.strip()
+def parse_ratio(token: str) -> tuple[int, int]:
+    """parse_rational's grammar, read as integers (p, q), q > 0, not reduced."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"not a rational token: {token!r}")
-    value = Fraction(token)  # raises ZeroDivisionError on p/0
-    return value
+    num, _, den = token.partition("/")
+    p, q = int(num), int(den or 1)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return p, q
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse strict integer / p/q syntax; rejects decimals and whitespace."""
+    return Fraction(*parse_ratio(token.strip()))
 
 
 def parse_scalar(token: str) -> Fraction | GaussianRational:
@@ -206,45 +214,56 @@ def parse_scalar(token: str) -> Fraction | GaussianRational:
         m = _GAUSSIAN_RE.fullmatch(token[:-1] + "i")
         if not m:
             raise ValueError(f"not a Gaussian rational token: {token!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
         im_text = m.group("im")
-        if im_text in ("", "+"):
-            im_part = Fraction(1)
-        elif im_text == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(im_text)
-        return GaussianRational(re_part, im_part)
+        im_part = {"": 1, "+": 1, "-": -1}.get(im_text, im_text)  # a bare i, +i or -i has a unit part
+        return GaussianRational(Fraction(m.group("re") or 0), Fraction(im_part))
     return parse_rational(token)
 
 
-def _spell(x, rational) -> str:
-    """The case analysis of every scalar spelling; `rational` spells one Fraction."""
+def _rational(p: int, q: int, fmt: str) -> str:
+    if q == 1:
+        return str(p)
+    return f"{'-' if p < 0 else ''}\\frac{{{abs(p)}}}{{{q}}}" if fmt == "latex" else f"{p}/{q}"
+
+
+def _spell(p: int, q: int, ip: int, iq: int, fmt: str):
+    """The case analysis of every scalar spelling: p/q + (ip/iq)i, each reduced, in fmt "text", "latex" or "json"."""
+    if not ip:
+        return _rational(p, q, fmt)
+    if fmt == "json":
+        return {"re": _rational(p, q, fmt), "im": _rational(ip, iq, fmt)}
+    im_text = "i" if (ip, iq) == (1, 1) else "-i" if (ip, iq) == (-1, 1) else f"{_rational(ip, iq, fmt)}i"
+    if not p:
+        return im_text
+    return f"{_rational(p, q, fmt)}{'+' if ip > 0 else ''}{im_text}"
+
+
+def _spell_scalar(x, fmt: str):
     if isinstance(x, (int, Fraction)):
-        return rational(as_fraction(x))
+        p, q = x.as_integer_ratio()
+        return _spell(p, q, 0, 1, fmt)
     if not isinstance(x, GaussianRational):
         raise TypeError(f"unsupported scalar type: {type(x).__name__}")
-    if x.im == 0:
-        return rational(x.re)
-    im_text = "i" if x.im == 1 else "-i" if x.im == -1 else f"{rational(x.im)}i"
-    if x.re == 0:
-        return im_text
-    sign = "+" if x.im > 0 else ""
-    return f"{rational(x.re)}{sign}{im_text}"
+    return _spell(*x.re.as_integer_ratio(), *x.im.as_integer_ratio(), fmt)
+
+
+def spell_integral(re: list, im: list | None, d: int, fmt: str) -> list:
+    """Each entry (re + i*im) / d of integer planes, spelled in fmt: p = x // g and q = d // g, g = gcd(x, d)."""
+    if im is None:
+        return [_spell(x // (g := math.gcd(x, d)), d // g, 0, 1, fmt) for x in re]
+    return [_spell(x // (g := math.gcd(x, d)), d // g, y // (h := math.gcd(y, d)), d // h, fmt) for x, y in zip(re, im)]
 
 
 def format_scalar(x) -> str:
     """Render a scalar in the textual syntax parse_scalar understands."""
-    return _spell(x, str)
-
-
-def _latex_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+    return _spell_scalar(x, "text")
 
 
 def latex_scalar(x) -> str:
     """The same spelling in LaTeX, with p/q as \\frac{p}{q}."""
-    return _spell(x, _latex_rational)
+    return _spell_scalar(x, "latex")
+
+
+def scalar_to_json(x):
+    """A rational as its text; a non-real value as {"re": text, "im": text}."""
+    return _spell_scalar(x, "json")

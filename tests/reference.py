@@ -39,6 +39,9 @@ The float checks once kept their matrices as lists of rows, multiplied by a
 generator product of their own.  nested_oracle_exp, nested_mat_mul and
 nested_relative_error are those versions, so the tests can demand that the
 row-major results are the same floats, bit for bit.
+
+spell_scalar spells one scalar from its Fractions in text, LaTeX or JSON, the
+oracle for the renderers, which spell matrix entries from the integer planes.
 """
 
 from __future__ import annotations
@@ -573,3 +576,28 @@ def nested_relative_error(x, y) -> float:
     diff = max(abs(a - b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y))
     denom = _nested_max_norm(y)
     return diff / denom if denom else diff
+
+
+def spell_scalar(x, fmt: str):
+    """One Q or Q(i) scalar spelled from its Fractions, as "text", "latex" or "json".
+
+    The spelling the package had before it spelled matrix entries from the
+    integer planes: str of a Fraction, \\frac{p}{q} in LaTeX with the sign in
+    front, re+im i with a bare i or -i for a unit imaginary part, and JSON's
+    {"re", "im"} strings for a non-real value.
+    """
+    x = x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+    def rational(f: Fraction) -> str:
+        if fmt != "latex" or f.denominator == 1:
+            return str(f)
+        return f"{'-' if f < 0 else ''}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+
+    if x.im == 0:
+        return rational(x.re)
+    if fmt == "json":
+        return {"re": str(x.re), "im": str(x.im)}
+    im_text = "i" if x.im == 1 else "-i" if x.im == -1 else f"{rational(x.im)}i"
+    if x.re == 0:
+        return im_text
+    return f"{rational(x.re)}{'+' if x.im > 0 else ''}{im_text}"

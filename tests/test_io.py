@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,19 +12,22 @@ from respfd.errors import EmptyMatrix, MatrixParseError, NonSquareMatrix
 from respfd.exponential import cos_basis, decompose, matrix_exponential, sin_basis
 from respfd.io import (
     format_basis,
+    format_matrix_block,
     format_poly,
     format_vector,
     latex_matrix,
     matrix_to_file_text,
+    matrix_to_json,
     parse_matrix,
     render_exp,
     render_pfd,
     scalar_to_json,
 )
-from respfd.linalg import Matrix
+from respfd.linalg import Matrix, from_integral
 from respfd.pfd import pfd_residue
 from respfd.polynomials import Poly
-from respfd.scalars import GaussianRational
+from respfd.scalars import GaussianRational, format_scalar, latex_scalar
+from tests import reference
 from tests.conftest import GOLDEN_3X3_CHAINS, GOLDEN_3X3_SPIRAL, random_jordan_matrix
 
 
@@ -65,6 +69,116 @@ def test_parse_bad_token_has_position():
     assert err.value.column == 2
     with pytest.raises(MatrixParseError):
         parse_matrix("1 1/0\n2 3\n")
+
+
+def _fraction_parse(text: str) -> Matrix:
+    """The Matrix of a well-formed matrix file, one Fraction(token) per entry."""
+    lines = [line.split() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+    return Matrix.from_rows([[Fraction(token) for token in line] for line in lines])
+
+
+_BIG = 10**40
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+3 -0/5\n007 0/7\n",
+        "-12/8\n",
+        "-12/8 +3\n007 -0/5\n",
+        "\u0663 1/\u0662\n\u0660 -\u0661\u0662/\u0664\n",  # Arabic-Indic digits: 3 1/2 / 0 -12/4
+        f"{_BIG + 7}/3 -{_BIG - 1}\n{3 * _BIG}/{6 * _BIG} {_BIG}/{_BIG + 1}\n",
+        f"1/{_BIG} 2/{_BIG}\n3/{2 * _BIG} 0\n",  # a common denominator near 10^40
+    ],
+)
+def test_parse_gives_the_matrix_of_the_fraction_tokens(text):
+    parsed, expected = parse_matrix(text), _fraction_parse(text)
+    assert parsed == expected
+    assert (parsed.re, parsed.im, parsed.d) == (expected.re, expected.im, expected.d)
+    assert parsed.rows == expected.rows
+
+
+@pytest.mark.parametrize("token", ["1/0", "3/-4", "1.5", "1e3", "\u00bd", "1//2", "-0/0", "--1", "1/", "/2", "0x1"])
+def test_parse_rejects_a_token_outside_the_grammar_with_its_position(token):
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix(f"# header\n1 2\n\n3 {token}\n")
+    assert (err.value.line, err.value.column) == (4, 2)
+    assert str(err.value) == f"line 4, column 2: invalid rational token {token!r}"
+
+
+def test_parse_reports_the_first_bad_token_before_the_shape():
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix("1 2 3\nx 1/0\n")
+    assert str(err.value) == "line 2, column 1: invalid rational token 'x'"
+
+
+def test_parse_shape_errors_keep_their_messages():
+    with pytest.raises(NonSquareMatrix) as err:
+        parse_matrix("1 2\n\n3\n")
+    assert (str(err.value), err.value.line) == ("line 3: row has 1 entries, expected 2", 3)
+    with pytest.raises(NonSquareMatrix) as err:
+        parse_matrix("1 2 3\n4 5 6\n")
+    assert (str(err.value), err.value.line) == ("matrix is 2x3, not square", None)
+    for text in ("", "\n  \n", "# only a comment\n", b"# bytes\n"):
+        with pytest.raises(EmptyMatrix) as err:
+            parse_matrix(text)
+        assert str(err.value) == "matrix file contains no rows"
+
+
+def _random_planes(rng: random.Random, gaussian: bool) -> Matrix:
+    """A random matrix of rational or Gaussian entries: 0, +-1, +-i, small p/q and 40+ bit values."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    d = rng.choice([1, 2, 6, 12, 2**45 + 3, 3 * 7 * 11 * 13])
+
+    def part():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.choice([d, -d])  # +-1
+        if kind == 2:
+            return rng.choice([1, 2, 3, 6, 7]) * rng.randint(-d, d)  # shares a factor of d, or not
+        return rng.randint(-(2**50), 2**50)
+
+    size = nrows * ncols
+    re = [part() for _ in range(size)]
+    im = [part() if rng.random() < 0.7 else 0 for _ in range(size)] if gaussian else None
+    return from_integral(re, im, d, nrows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matrix_spelling_from_planes_matches_the_fraction_speller(seed):
+    rng = random.Random(seed)
+    m = _random_planes(rng, gaussian=seed % 2 == 1)
+    rows = m.rows
+    text = [[reference.spell_scalar(x, "text") for x in row] for row in rows]
+    latex = [[reference.spell_scalar(x, "latex") for x in row] for row in rows]
+    assert [[format_scalar(x) for x in row] for row in rows] == text
+    assert [[latex_scalar(x) for x in row] for row in rows] == latex
+    assert [[scalar_to_json(x) for x in row] for row in rows] == [[reference.spell_scalar(x, "json") for x in row] for row in rows]
+    assert matrix_to_json(m) == [[reference.spell_scalar(x, "json") for x in row] for row in rows]
+    assert matrix_to_file_text(m) == "".join(" ".join(row) + "\n" for row in text)
+    assert latex_matrix(m) == "\\begin{bmatrix}" + "\\\\".join("&".join(row) for row in latex) + "\\end{bmatrix}"
+    widths = [max(len(row[j]) for row in text) for j in range(m.ncols)]
+    block = ["    [ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]" for row in text]
+    assert format_matrix_block(m) == "\n".join(block)
+    if m.im is None and m.is_square:
+        assert parse_matrix(matrix_to_file_text(m)) == m
+
+
+def test_spelling_covers_units_and_signs():
+    i = GaussianRational(0, 1)
+    entries = [0, 1, -1, i, -i, 1 + i, -1 - i, Fraction(1, 2) - i, Fraction(-3, 4) * i, Fraction(-5, 6) + 2 * i]
+    m = Matrix.from_rows([entries])
+    assert matrix_to_file_text(m) == "0 1 -1 i -i 1+i -1-i 1/2-i -3/4i -5/6+2i\n"
+    assert latex_matrix(m) == (
+        "\\begin{bmatrix}0&1&-1&i&-i&1+i&-1-i&\\frac{1}{2}-i&-\\frac{3}{4}i&-\\frac{5}{6}+2i\\end{bmatrix}"
+    )
+    assert matrix_to_json(m)[0][:5] == ["0", "1", "-1", {"re": "0", "im": "1"}, {"re": "0", "im": "-1"}]
+    assert [format_scalar(x) for x in entries] == [reference.spell_scalar(x, "text") for x in entries]
+    assert format_scalar(True) == "1" and latex_scalar(Fraction(-1, 2)) == "-\\frac{1}{2}"
+    with pytest.raises(TypeError):
+        format_scalar(0.5)
 
 
 def test_matrix_file_round_trip(rng):

@@ -153,3 +153,17 @@ def test_parse_gaussian_forms():
     assert parse_scalar("-2-i") == GaussianRational(-2, -1)
     assert parse_scalar("3i") == GaussianRational(0, 3)
     assert parse_scalar("1/2+1/3i") == GaussianRational(Fraction(1, 2), Fraction(1, 3))
+
+
+def test_parse_scalar_unit_imaginary_parts_and_messages():
+    units = {"i": (0, 1), "+i": (0, 1), "-i": (0, -1), "I": (0, 1), "2-i": (2, -1), "-1/2+i": (Fraction(-1, 2), 1)}
+    for text, (re, im) in units.items():
+        assert parse_scalar(text) == GaussianRational(re, im)
+    assert parse_scalar("-3/4i") == GaussianRational(0, Fraction(-3, 4))
+    assert parse_scalar("-0/5") == 0 and type(parse_scalar("007")) is Fraction
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        parse_scalar("2+1/0i")
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-3, 0\)$"):
+        parse_rational("-3/0")
+    with pytest.raises(ValueError, match=r"^not a rational token: '1\.5'$"):
+        parse_rational(" 1.5 ")

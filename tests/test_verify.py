@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +10,7 @@ import pytest
 
 import respfd.cli
 import respfd.verify
+from respfd.chains import Chain
 from respfd.io import parse_matrix
 from respfd.linalg import Matrix, PolyMatrix, faddeev_leverrier
 from respfd.pfd import all_passed
@@ -102,7 +102,7 @@ def test_chain_structure_fails_on_a_broken_chain(monkeypatch, tamper):
             vectors = first.vectors[:-1]
         else:  # v_1 twice: (A - lambda I) v_1 is not v_1
             vectors = (first.vectors[0], *first.vectors)
-        return [dataclasses.replace(first, vectors=vectors), *chains[1:]]
+        return [Chain(first.eigenvalue, vectors, first.column), *chains[1:]]
 
     monkeypatch.setattr(respfd.verify, "extract_column_chains", broken)
     by_name = {c.name: c for c in verification_report(GOLDEN_3X3_CHAINS, "complex")}
