@@ -131,11 +131,12 @@ def membership_check(pfd: ResolventPFD, eigenvalue_index: int, v) -> tuple[bool,
     return True, j0
 
 
-def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
+def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int, chains=None) -> ChainBasis:
     """Chain-basis assembly for one eigenvalue from whole column chains.
 
     One pass, longest first (ties: lower column index), admits a chain when
-    it fits in r_i vectors and all its vectors extend the independent set.
+    it fits in r_i vectors and all its vectors extend the independent set;
+    `chains`, when given, is extract_column_chains(pfd, eigenvalue_index).
     It falls short, raising IncompleteBasis, only when no subset spans:
     - Lemma: with S = A - lambda I, chains x, Sx, .., S^(L-1)x with S^L x = 0
       are jointly independent exactly when their last vectors are (apply
@@ -154,6 +155,10 @@ def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
       It is an exhaustive search's first descent, so it returns the chains
       that search returns.  All this holds whenever the column chains are
       Jordan chains, as verify_pfd's recurrence and annihilation checks ask.
+    - Every vector of the trial is ranked, not only the last vectors, which
+      by the lemma decide the same on Jordan chains: on column chains that
+      are not Jordan chains the lemma fails, and only the full test keeps
+      each returned ChainBasis independent whatever the decomposition.
 
     IncompleteBasis is a real outcome: nilpotent blocks (2, 2, 1) with no
     zero column in B_1 offer only length-2 chains, whose subsets carry an
@@ -161,11 +166,10 @@ def select_chain_basis(pfd: ResolventPFD, eigenvalue_index: int) -> ChainBasis:
     """
     term = pfd.linear[eigenvalue_index]
     target = term.multiplicity
-    candidates = sorted(
-        extract_column_chains(pfd, eigenvalue_index), key=lambda c: (-c.length, c.column)
-    )
+    if chains is None:
+        chains = extract_column_chains(pfd, eigenvalue_index)
     selected, stacked = [], []
-    for chain in candidates:
+    for chain in sorted(chains, key=lambda c: (-c.length, c.column)):
         trial = stacked + list(chain.vectors)
         if len(trial) <= target and rank(Matrix.from_rows(trial)) == len(trial):
             selected.append(chain)

@@ -220,11 +220,15 @@ def exp_eval(cf: ClosedFormExp, t: float) -> list:
     return [z.real for z in acc] if cf.matrix.is_rational_matrix() else acc
 
 
-def numeric_oracle_exp(a: Matrix, t: float) -> list:
+def numeric_oracle_exp(a: Matrix, t: float, squares: dict | None = None) -> list:
     """Independent floating-point e^{tA}, row-major: scaling and squaring, Taylor core.
 
     Scales by 2^{-m} until the infinity norm is at most 1/2, sums the Taylor
     series until the relative tail drops below 1e-16, then squares m times.
+    `squares`, a dict the caller keeps, maps each scaled list tA / 2^m to its
+    Taylor core and the squares computed so far: scaling by 2 is exact, so
+    2tA / 2^(m+1) is tA / 2^m bit for bit, and e^{2tA} is one more squaring
+    of e^{tA}'s core, the same floats a fresh call computes.
     """
     n = a.nrows
     work = [x * t for x in _float_entries(a)]
@@ -237,6 +241,18 @@ def numeric_oracle_exp(a: Matrix, t: float) -> list:
         m += 1
     scale = 2.0 ** m
     work = [v / scale for v in work]
+    powers = [] if squares is None else squares.setdefault(tuple(work), [])
+    if not powers:
+        powers.append(_taylor_core(work, n))
+    while len(powers) <= m:
+        powers.append(flat_matmul(powers[-1], powers[-1], n, n, n))
+    if a.is_rational_matrix():
+        return [float(v.real) for v in powers[m]]
+    return powers[m]
+
+
+def _taylor_core(work: list, n: int) -> list:
+    """The Taylor series of e^W, W row-major with norm at most 1/2, summed until its relative tail is below 1e-16."""
     total = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)]
     term = total[:]
     k = 1
@@ -246,10 +262,6 @@ def numeric_oracle_exp(a: Matrix, t: float) -> list:
         if max(map(abs, term), default=0.0) <= 1e-16 * max(map(abs, total), default=0.0):
             break
         k += 1
-    for _ in range(m):
-        total = flat_matmul(total, total, n, n, n)
-    if a.is_rational_matrix():
-        return [float(v.real) for v in total]
     return total
 
 

@@ -317,25 +317,20 @@ def verify_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
         b1 = term.coefficient(1)
         shifted = a - eye * term.eigenvalue
         label = f"lambda={term.eigenvalue}"
+        moved = [shifted @ b for b in term.coefficients]  # S B_j for the commutes and recurrence lines
         results.append(
             CheckResult(f"idempotent[{label}]", (b1 @ b1) == b1, "B_1^2 = B_1")
         )
         results.append(
-            CheckResult(
-                f"commutes[{label}]",
-                (shifted @ b1) == (b1 @ shifted),
-                "(A-lambda I) B_1 = B_1 (A-lambda I)",
-            )
+            CheckResult(f"commutes[{label}]", moved[0] == (b1 @ shifted), "(A-lambda I) B_1 = B_1 (A-lambda I)")
         )
-        results.extend(_recurrence_checks(shifted, term, label))
+        results.extend(_recurrence_checks(moved, term, label))
         power_ok = True
         if term.multiplicity >= 2:
-            b2 = term.coefficient(2)
-            acc = b2
-            for j in range(2, term.multiplicity + 1):
-                if acc != term.coefficient(j):
-                    power_ok = False
-                acc = acc @ b2
+            power = b2 = term.coefficient(2)
+            for b in term.coefficients[2:]:
+                power = power @ b2
+                power_ok = power_ok and power == b
         results.append(
             CheckResult(f"power_identity[{label}]", power_ok, "B_j = B_2^{j-1}")
         )
@@ -373,7 +368,8 @@ def verify_real_pfd(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
     eye = Matrix.identity(a.nrows)
     results = [CheckResult("projector_sum", _projector_sum(pfd) == eye, "sum of B_i1 and P equals I")]
     for term in pfd.linear:
-        results.extend(_recurrence_checks(a - eye * term.eigenvalue, term, f"lambda={term.eigenvalue}"))
+        shifted = a - eye * term.eigenvalue
+        results.extend(_recurrence_checks([shifted @ b for b in term.coefficients], term, f"lambda={term.eigenvalue}"))
     for quad in pfd.quadratic:
         label = f"(s+{quad.a})^2+{quad.d}"
         shifted = a + eye * quad.a
@@ -412,15 +408,12 @@ def _projector_sum(pfd) -> Matrix:
     return total
 
 
-def _recurrence_checks(shifted: Matrix, term: EigenvalueTerm, label: str) -> list[CheckResult]:
-    """Recurrence (A-lambda I) B_j = B_{j+1} and annihilation (A-lambda I) B_r = 0."""
-    recurrence_ok = all(
-        (shifted @ term.coefficient(j)) == term.coefficient(j + 1) for j in range(1, term.multiplicity)
-    )
-    annihilated = (shifted @ term.coefficient(term.multiplicity)).is_zero
+def _recurrence_checks(moved: list, term: EigenvalueTerm, label: str) -> list[CheckResult]:
+    """Recurrence (A-lambda I) B_j = B_{j+1} and annihilation (A-lambda I) B_r = 0, moved[j-1] = (A-lambda I) B_j."""
+    recurrence_ok = all(x == y for x, y in zip(moved, term.coefficients[1:]))
     return [
         CheckResult(f"recurrence[{label}]", recurrence_ok, "(A-lambda I) B_j = B_{j+1}"),
-        CheckResult(f"annihilation[{label}]", annihilated, "(A-lambda I) B_r = 0"),
+        CheckResult(f"annihilation[{label}]", moved[-1].is_zero, "(A-lambda I) B_r = 0"),
     ]
 
 

@@ -2,6 +2,20 @@
 
 verification_report(a, mode) returns one CheckResult per check, in the order
 it runs them.  It needs both pfd and exponential, and exponential imports pfd.
+
+Each report computes an intermediate once and lets every check that needs it
+read it; no line is derived from another line's verdict, and nothing outlives
+the call.  The output is the same as with each check computing its own:
+- mode_agreement's real decomposition is the complex undetermined solve when
+  the real view has no quadratic factor: it then has the same polynomial,
+  roots and sample points, so pfd_real would solve the identical system;
+- each eigenvalue's column chains are extracted once, for chain_structure and
+  for select_chain_basis;
+- each exp_eval(form, t) is evaluated once, for the oracle, semigroup and
+  mode_agreement lines alike;
+- the oracle keeps its Taylor cores and their squares by the exact scaled
+  list tA / 2^m (numeric_oracle_exp): scaling by 2 is exact, so the default
+  t = 0.5 and t = 1.0 share a core and differ by one squaring, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,11 +113,18 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
             "d/dt e^{tA} = A e^{tA}, exact coefficient comparison",
         )
     )
+    values, squares = {}, {}
+
+    def value(form, t):
+        if (id(form), t) not in values:
+            values[id(form), t] = exp_eval(form, t)
+        return values[id(form), t]
+
     for t in times:
         checks.append(
             _float_check(
                 f"oracle[t={t:g}]", t, ORACLE_TOLERANCE,
-                lambda: (exp_eval(cf, t), numeric_oracle_exp(a, t)),
+                lambda: (value(cf, t), numeric_oracle_exp(a, t, squares)),
                 "relative error {:.3e} vs scaling-and-squaring",
             )
         )
@@ -113,7 +134,7 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
         checks.append(
             _float_check(
                 f"semigroup[{t1:g}+{t2:g}]", t1 + t2, SEMIGROUP_TOLERANCE,
-                lambda: (flat_matmul(exp_eval(cf, t1), exp_eval(cf, t2), n, n, n), exp_eval(cf, t1 + t2)),
+                lambda: (flat_matmul(value(cf, t1), value(cf, t2), n, n, n), value(cf, t1 + t2)),
                 "relative error {:.3e}",
             )
         )
@@ -123,12 +144,17 @@ def verification_report(a: Matrix, mode: str = "auto", hints=None, times=(0.1, 0
         except (IrrationalSpectrum, RepeatedQuadraticFactor):
             real_factored = None
         if real_factored is not None:
-            real_cf = exp_from_pfd(pfd_real(real_factored, adjugate, a))
+            # with no quadratic factor the real view has the complex one's roots and sample points
+            real_pfd = (
+                ResolventPFD(a, "real", via_samples.linear) if not real_factored.quadratic
+                else pfd_real(real_factored, adjugate, a)
+            )
+            real_cf = exp_from_pfd(real_pfd)
             t = 0.5 * scale
             checks.append(
                 _float_check(
                     "mode_agreement", t, MODE_AGREEMENT_TOLERANCE,
-                    lambda: (exp_eval(real_cf, t), exp_eval(cf, t)),
+                    lambda: (value(real_cf, t), value(cf, t)),
                     "real and complex closed forms agree numerically ({:.3e})",
                 )
             )
@@ -168,7 +194,7 @@ def _chain_checks(a: Matrix, pfd: ResolventPFD) -> list[CheckResult]:
             CheckResult(f"chain_structure[{label}]", structure_ok, "(A-lambda I) maps each chain forward")
         )
         try:
-            basis = select_chain_basis(pfd, idx)
+            basis = select_chain_basis(pfd, idx, chains)
         except IncompleteBasis:
             # a real outcome: the complete greedy pass shows that whole column
             # chains cannot span this generalized eigenspace (see select_chain_basis)

@@ -26,7 +26,10 @@ of the oracle:
   taylor_shift          -- p(s + c) by repeated synthetic division,
   series_div            -- truncated power-series quotient,
   faddeev_leverrier     -- the Faddeev-LeVerrier sweep on exact scalars,
-  pfd_residue           -- Taylor shift + series division per matrix entry.
+  pfd_residue           -- Taylor shift + series division per matrix entry,
+  select_chain_basis    -- the greedy chain selection with the full-vector
+                           test: every vector of each trial, ranked from
+                           Fraction rows.
 
 respfd's Poly holds coefficients and evaluates; it does no arithmetic between
 polynomials.  The Fraction arithmetic the tests build polynomials with lives
@@ -49,9 +52,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from respfd.chains import ChainBasis, extract_column_chains
 from respfd.errors import (
     DimensionMismatch,
     EvalAtPole,
+    IncompleteBasis,
     InconsistentSystem,
     MatrixTooLarge,
     SingularSeriesDivision,
@@ -519,6 +524,21 @@ def pfd_residue(factored: FactoredCharPoly, adjugate: PolyMatrix, matrix: Matrix
         terms.append(EigenvalueTerm(eigenvalue, mult, coefficients))
     terms.sort(key=lambda t: scalar_key(t.eigenvalue))
     return ResolventPFD(matrix, "complex", tuple(terms))
+
+
+def select_chain_basis(pfd, eigenvalue_index: int) -> ChainBasis:
+    """Longest column chains first (ties: lower column); admit one when the trial's vectors are independent."""
+    term = pfd.linear[eigenvalue_index]
+    candidates = sorted(extract_column_chains(pfd, eigenvalue_index), key=lambda c: (-c.length, c.column))
+    selected, stacked = [], []
+    for chain in candidates:
+        trial = stacked + list(chain.vectors)
+        if len(trial) <= term.multiplicity and rank(Matrix.from_rows(trial)) == len(trial):
+            selected.append(chain)
+            stacked = trial
+    if len(stacked) < term.multiplicity:
+        raise IncompleteBasis(f"no subset of column chains spans eigenvalue {term.eigenvalue}")
+    return ChainBasis(term.eigenvalue, tuple(selected))
 
 
 def _float_entries(m: Matrix) -> list:

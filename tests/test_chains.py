@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from respfd.chains import (
 from respfd.errors import IncompleteBasis, NotAGeneralizedEigenvector
 from respfd.exponential import decompose
 from respfd.linalg import Matrix, mat_vec, rank, vec_is_zero
+from respfd.pfd import EigenvalueTerm, ResolventPFD
+from tests import reference
 from tests.conftest import (
     GOLDEN_3X3_CHAINS,
     GOLDEN_3X3_IVP,
@@ -265,3 +268,51 @@ def test_gaussian_eigenvalue_chains():
         shifted = a - Matrix.identity(2) * term.eigenvalue
         for chain in chains:
             assert vec_is_zero(mat_vec(shifted, chain.eigenvector()))
+
+
+def _selection(select, pfd, idx: int):
+    """The ChainBasis select returns, or IncompleteBasis when it refuses."""
+    try:
+        return select(pfd, idx)
+    except IncompleteBasis:
+        return IncompleteBasis
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_selection_equals_the_full_vector_reference_on_jordan_matrices(n):
+    rng = random.Random(n)
+    for _ in range(4):
+        pfd = decompose(random_jordan_matrix(rng, n)[0], "complex")
+        for idx in range(len(pfd.linear)):
+            assert _selection(select_chain_basis, pfd, idx) == _selection(reference.select_chain_basis, pfd, idx)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_selection_equals_the_full_vector_reference_on_every_nilpotent_partition(n):
+    for blocks in _partitions(n):
+        pfd = decompose(_disguised_nilpotent(blocks, 1), "complex")
+        assert _selection(select_chain_basis, pfd, 0) == _selection(reference.select_chain_basis, pfd, 0), blocks
+
+
+def _hand_built(*coefficients) -> ResolventPFD:
+    """One eigenvalue 0 of multiplicity len(coefficients) on a zero matrix: (A - 0 I) B_j = 0 for every j."""
+    n = coefficients[0].nrows
+    term = EigenvalueTerm(Fraction(0), len(coefficients), coefficients)
+    return ResolventPFD(Matrix.zeros(n, n), "complex", (term,))
+
+
+def test_selection_on_column_chains_that_are_not_jordan_chains():
+    # the column chains (e1, e2) and (e1) are no Jordan chains of the zero matrix. Their last
+    # vectors e2 and e1 are independent, but all three vectors are not: every vector of the trial
+    # is ranked, so the second chain is refused and three dimensions are not spanned
+    b1 = Matrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+    b2 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    pfd = _hand_built(b1, b2, Matrix.zeros(3, 3))
+    chains = extract_column_chains(pfd, 0)
+    assert [(c.column, c.vectors) for c in chains] == [(0, (F(1, 0, 0), F(0, 1, 0))), (1, (F(1, 0, 0),))]
+    with pytest.raises(IncompleteBasis):
+        select_chain_basis(pfd, 0)
+    # (e1, e2) and (e3), no Jordan chains either, are independent vectors: a basis is returned
+    b1 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    basis = select_chain_basis(_hand_built(b1, b2, Matrix.zeros(3, 3)), 0)
+    assert [(c.column, c.length) for c in basis.chains] == [(0, 2), (2, 1)]

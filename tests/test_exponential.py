@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from respfd.exponential import (
     cos_basis,
     exp_basis,
@@ -309,3 +311,22 @@ def test_flat_float_results_are_the_nested_reference_bit_for_bit():
             for x, y in ((closed, oracle), (product, closed), (half, closed)):
                 nested = reference.nested_relative_error(_rows(x, n), _rows(y, n))
                 assert repr(relative_error(x, y)) == repr(nested), (a, mode, t)
+
+
+@pytest.mark.parametrize(
+    "a, keys",
+    [
+        # ||A|| = 3/8 <= 1/2: m = 0 at t = 1, and 2A / 2 is A, so t = 1 and t = 2 share a core
+        (Matrix.from_rows([[Fraction(1, 4), Fraction(1, 8)], [0, Fraction(-1, 4)]]), 4),
+        # ||A|| = 6: m >= 1 from t = 0.1 on, and every t >= 0.25 scales to A / 16
+        (GOLDEN_3X3_CHAINS, 2),
+        # ||A|| = 3 over Q(i): t = 0.1 keeps m = 0, every t >= 0.25 scales to A / 8
+        (Matrix.from_rows([[GaussianRational(Fraction(1, 2), Fraction(1)), 1], [0, GaussianRational(0, -3)]]), 2),
+    ],
+    ids=["norm_below_half", "m_at_least_1", "gaussian"],
+)
+def test_shared_squarings_give_the_fresh_oracle_bit_for_bit(a, keys):
+    squares = {}
+    for t in (0.1, 0.25, 0.5, 1.0, 2.0):
+        assert numeric_oracle_exp(a, t, squares) == numeric_oracle_exp(a, t)
+    assert len(squares) == keys

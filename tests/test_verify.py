@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+import respfd.chains
 import respfd.cli
+import respfd.exponential
 import respfd.verify
 from respfd.chains import Chain
 from respfd.io import parse_matrix
 from respfd.linalg import Matrix, PolyMatrix, faddeev_leverrier
-from respfd.pfd import all_passed
+from respfd.pfd import all_passed, pfd_real
+from respfd.polynomials import factor_charpoly
 from respfd.verify import verification_report
 from tests.conftest import (
     GOLDEN_3X3_CHAINS,
@@ -108,3 +111,77 @@ def test_chain_structure_fails_on_a_broken_chain(monkeypatch, tamper):
     by_name = {c.name: c for c in verification_report(GOLDEN_3X3_CHAINS, "complex")}
     assert not by_name["chain_structure[lambda=2]"].passed
     assert by_name["adjugate_identity"].passed
+
+
+def _jordan(lam: Fraction, size: int) -> list:
+    return [[lam if j == i else 1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
+
+
+# rational spectrum: 2 with blocks (4, 2), -1 with (3), 1/2 with (2, 1); multiplicities 6, 3, 3
+JORDAN_12 = disguised(
+    block_diagonal(_jordan(2, 4), _jordan(2, 2), _jordan(-1, 3), _jordan(Fraction(1, 2), 2), _jordan(Fraction(1, 2), 1)),
+    5,
+)
+
+
+def _counted(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments; returns the record."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_real_solve_and_one_extraction_per_eigenvalue(monkeypatch):
+    real = _counted(monkeypatch, respfd.verify, "pfd_real")
+    extract = _counted(monkeypatch, respfd.verify, "extract_column_chains")
+    extract_inside = _counted(monkeypatch, respfd.chains, "extract_column_chains")
+    forms = _counted(monkeypatch, respfd.verify, "exp_from_pfd")
+    checks = verification_report(JORDAN_12, "complex")
+    assert all_passed(checks) and "mode_agreement" in [c.name for c in checks]
+    # a rational spectrum has no quadratic factor: the real view's solve is the complex one
+    assert real == []
+    charpoly, adjugate = faddeev_leverrier(JORDAN_12)
+    real_pfd = pfd_real(factor_charpoly(charpoly, "real"), adjugate, JORDAN_12)
+    assert [pfd for (pfd,) in forms if pfd.mode == "real"] == [real_pfd]
+    assert [idx for _, idx in extract] == [0, 1, 2] and extract_inside == []
+
+
+def test_default_times_evaluate_each_form_once_and_share_oracle_squarings(monkeypatch):
+    evals = _counted(monkeypatch, respfd.verify, "exp_eval")
+    cores = _counted(monkeypatch, respfd.exponential, "_taylor_core")
+    checks = verification_report(JORDAN_12, "complex")
+    assert all_passed(checks)
+    keys = [(id(form), t) for form, t in evals]
+    # the complex form at 0.1, 0.5, 1.0 (oracle) and 0.2, 0.1 + 0.2 (semigroup); the real one at 0.5
+    assert len(keys) == len(set(keys)) == 6
+    # t = 0.5 and t = 1.0 scale to the same tA / 2^m; t = 0.1 to another
+    assert len(cores) == 2
+
+
+def test_power_identity_forms_r_minus_2_products(monkeypatch):
+    twos, powers, original = [], [], Matrix.__matmul__
+    verify_pfd = respfd.verify.verify_pfd
+
+    def counted(x, y):
+        z = original(x, y)
+        if any(y is b2 for b2 in twos) and any(x is p for p in (*twos, *powers)):
+            powers.append(z)
+        return z
+
+    def checked(a, pfd):
+        twos.extend(term.coefficient(2) for term in pfd.linear if term.multiplicity >= 2)
+        try:
+            return verify_pfd(a, pfd)
+        finally:
+            twos.clear()
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    monkeypatch.setattr(respfd.verify, "verify_pfd", checked)
+    checks = verification_report(JORDAN_12, "complex")
+    assert [c.passed for c in checks if c.name.startswith("power_identity")] == [True] * 3
+    assert len(powers) == (6 - 2) + (3 - 2) + (3 - 2)
