@@ -62,12 +62,18 @@ class BasisFunction(Record):
         return (1, (self.a, self.d), 0, order)
 
     def value_at(self, t: float):
+        """The basis function at t; OverflowError when lambda t or beta t is not finite, as math.exp on overflow."""
         if self.kind == "exp":
             if isinstance(self.lam, GaussianRational):
-                return (t ** self.k) * cmath.exp(complex(self.lam) * t)
+                z = complex(self.lam) * t  # cmath.exp raises ValueError, not OverflowError, on some infinite z
+                if not cmath.isfinite(z):
+                    raise OverflowError("lambda t is not finite")
+                return (t ** self.k) * cmath.exp(z)
             return (t ** self.k) * math.exp(float(self.lam) * t)
         beta = math.sqrt(float(self.d))
         envelope = math.exp(-float(self.a) * t)
+        if not math.isfinite(beta * t):  # math.cos and math.sin raise ValueError on an infinite argument
+            raise OverflowError("beta t is not finite")
         if self.kind == "cos":
             return envelope * math.cos(beta * t)
         value = envelope * math.sin(beta * t)

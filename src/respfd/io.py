@@ -13,6 +13,13 @@ scalar spelling, `^k` or `^{k}` for exponents, and the parentheses that text
 alone puts around a p/q coefficient of a variable (`_operand`).  LaTeX emits
 bmatrix blocks summed as basis functions times matrices; JSON gives every
 rational as a string and a non-real value as {"re", "im"} strings.
+
+_finish_json writes each JSON document itself, byte for byte what
+json.dumps(payload, indent=2) writes: with an indent the stdlib runs its
+pure-Python encoder, which is slower and leaves cyclic garbage.  It takes
+acyclic payloads of dicts with str keys and lists, holding str, int, bool and
+None; every string goes through the C escaper encode_basestring_ascii, and a
+list of strings, such as a matrix row, in one join.
 """
 from __future__ import annotations
 
@@ -225,7 +232,28 @@ def _components_json(components) -> list:
 
 
 def _finish_json(payload) -> str:
-    return json.dumps(payload, indent=2, check_circular=False) + "\n"
+    """json.dumps(payload, indent=2) and a newline, byte for byte, for acyclic str-keyed dicts and lists."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) spells it nested at indent: a newline and two spaces per level."""
+    quote = json.encoder.encode_basestring_ascii
+    if isinstance(value, str):
+        return quote(value)
+    if not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        return "{" + inner + comma.join(quote(k) + ": " + _json(v, inner) for k, v in value.items()) + indent + "}"
+    try:
+        body = comma.join(map(quote, value))  # a list of strings, such as a matrix row, in one join
+    except TypeError:
+        body = comma.join(_json(x, inner) for x in value)
+    return "[" + inner + body + indent + "]"
 
 
 def render_charpoly(factored: FactoredCharPoly, fmt: str) -> str:

@@ -563,7 +563,7 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     The sweep runs on N = dA, d the common denominator of A, in Python ints
     (one more plane for Gaussian entries): on an integer matrix every trace
     division by k is exact.  Unscaling gives c_{n-k}(A) = c_{n-k}(N) / d^k and
-    B_k(A) = B_k(N) / d^{k-1}.
+    B_k(A) = B_k(N) / d^{k-1}.  N B_1 = N, so the sweep takes n - 1 products.
     """
     if not a.is_square:
         raise DimensionMismatch("faddeev_leverrier requires a square matrix")
@@ -581,7 +581,8 @@ def faddeev_leverrier(a: Matrix) -> tuple[Poly, PolyMatrix]:
     coeffs: list = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     for k in range(1, n + 1):
-        b = _plane_matmul(scaled, b, n, n, n)  # N B_k, then + c I: B_{k+1}
+        # N B_k, then + c I: B_{k+1}; B_1 = I, so N B_1 is a copy of N's planes
+        b = _plane_matmul(scaled, b, n, n, n) if k > 1 else tuple(None if p is None else list(p) for p in scaled)
         c_re, c_im = (0 if p is None else _exact_quotient(-sum(p[t] for t in diagonal), k) for p in b)
         for p, c in zip(b, (c_re, c_im)):
             if p is not None:

@@ -15,7 +15,8 @@ Textual syntax used everywhere (files, CLI, JSON): integer ``-12``, rational
 ``p/q`` such as ``-3/4``, Gaussian rational ``re+im i`` such as ``-2+3i``.
 ``parse_scalar(format_scalar(x)) == x`` holds bit-exactly.  One case analysis,
 _spell, writes p/q + (ip/iq)i, from reduced integers, as text, LaTeX or JSON:
-for one scalar, and through spell_integral for each entry of integer planes.
+for one scalar, and through spell_integral for each entry of integer planes,
+where a real plane takes one pass, str of each entry when d = 1.
 """
 
 from __future__ import annotations
@@ -249,8 +250,10 @@ def _spell_scalar(x, fmt: str):
 
 def spell_integral(re: list, im: list | None, d: int, fmt: str) -> list:
     """Each entry (re + i*im) / d of integer planes, spelled in fmt: p = x // g and q = d // g, g = gcd(x, d)."""
-    if im is None:
-        return [_spell(x // (g := math.gcd(x, d)), d // g, 0, 1, fmt) for x in re]
+    if im is None:  # a real plane in one pass: no gcd when d = 1, else one map of gcds
+        if d == 1:
+            return list(map(str, re))
+        return [_rational(x // g, d // g, fmt) for x, g in zip(re, map(math.gcd, re, [d] * len(re)))]
     return [_spell(x // (g := math.gcd(x, d)), d // g, y // (h := math.gcd(y, d)), d // h, fmt) for x, y in zip(re, im)]
 
 

@@ -45,6 +45,8 @@ row-major results are the same floats, bit for bit.
 
 spell_scalar spells one scalar from its Fractions in text, LaTeX or JSON, the
 oracle for the renderers, which spell matrix entries from the integer planes.
+spell_integral is the per-entry plane speller the package had before it spelled
+a real plane in one pass: one _spell call per entry.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from respfd.errors import (
 from respfd.linalg import SIZE_LIMIT, Matrix, PolyMatrix
 from respfd.pfd import EigenvalueTerm, ResolventPFD, sample_points
 from respfd.polynomials import FactoredCharPoly, Poly
-from respfd.scalars import GaussianRational, as_fraction, scalar_key
+from respfd.scalars import GaussianRational, _spell, as_fraction, scalar_key
 
 
 def linear_factor(root) -> Poly:
@@ -621,3 +623,10 @@ def spell_scalar(x, fmt: str):
     if x.re == 0:
         return im_text
     return f"{rational(x.re)}{'+' if x.im > 0 else ''}{im_text}"
+
+
+def spell_integral(re: list, im: list | None, d: int, fmt: str) -> list:
+    """Each entry (re + i*im) / d of integer planes through _spell: p = x // g and q = d // g, g = gcd(x, d)."""
+    if im is None:
+        return [_spell(x // (g := math.gcd(x, d)), d // g, 0, 1, fmt) for x in re]
+    return [_spell(x // (g := math.gcd(x, d)), d // g, y // (h := math.gcd(y, d)), d // h, fmt) for x, y in zip(re, im)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -286,6 +287,35 @@ def test_verify_float_overflow_is_named_fail(write):
     assert err == ""
     assert "FAIL  oracle[t=1000]" in out and "float overflow at t=1000" in out
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize("mode", ["complex", "real", "auto"])
+def test_verify_non_finite_basis_argument_is_named_fail(write, mode):
+    # +-3i t and 3t are not finite at t = 1e308: cmath.exp, cos and sin must not end in a traceback
+    with deadline(10):
+        code, out, err = run(["verify", write(ROTATION_FILE), "--t", "1e308", "--mode", mode])
+    assert (code, err) == (1, "")
+    assert "FAIL  oracle[t=1e+308]" in out and "float overflow at t=1e+308" in out
+
+
+def test_json_ops_leave_no_cyclic_garbage(write):
+    goldens = [GOLDEN_CHAINS_FILE, "6 4\n-3 -1\n", ROTATION_FILE, IVP_FILE, SPIRAL_FILE]
+    commands = ["charpoly", "pfd", "chains", "exp", "solve", "general", "verify"]
+    files = [(write(rows, f"golden{k}.txt"), rows.count("\n")) for k, rows in enumerate(goldens)]
+
+    def args(command, path, size):
+        return [command, path, "--format", "json"] + (["--y0", ",".join(["1"] * size)] if command == "solve" else [])
+
+    run(args("pfd", *files[0]))  # warm-up: the parser and lazily built state
+    gc.collect()
+    gc.disable()
+    try:
+        for path, size in files:
+            for command in commands:
+                code, _, _ = run(args(command, path, size))
+                assert (command, path, code in (0, 1), gc.collect()) == (command, path, True, 0)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from respfd import io
 from respfd.cli import run
 from respfd.io import matrix_to_file_text
 from tests.conftest import GOLDEN_MATRICES, block_diagonal, disguised
@@ -84,6 +85,22 @@ def _observe(name: str, subcommand: str, directory: str) -> dict:
 def test_cli_snapshot(name, subcommand, tmp_path):
     expected = json.loads(SNAPSHOT_FILE.read_text())[name][subcommand]
     assert _observe(name, subcommand, str(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_json_writer_matches_the_stdlib_on_every_snapshot_payload(name, tmp_path, monkeypatch):
+    payloads = []
+    writer = io._finish_json
+    monkeypatch.setattr(io, "_finish_json", lambda payload: payloads.append(payload) or writer(payload))
+    path = tmp_path / f"{name}.txt"
+    path.write_text(matrix_to_file_text(MATRICES[name]))
+    y0 = ["--y0", ",".join(str(k + 1) for k in range(MATRICES[name].nrows))]
+    for subcommand in SUBCOMMANDS:
+        for mode in _modes(subcommand):
+            run([subcommand, str(path), "--mode", mode, "--format", "json", *(y0 if subcommand == "solve" else [])])
+    assert payloads
+    for payload in payloads:
+        assert writer(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def _record() -> None:

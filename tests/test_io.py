@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respfd.errors import EmptyMatrix, MatrixParseError, NonSquareMatrix
 from respfd.exponential import cos_basis, decompose, matrix_exponential, sin_basis
 from respfd.io import (
+    _finish_json,
     format_basis,
     format_matrix_block,
     format_poly,
@@ -28,7 +31,7 @@ from respfd.pfd import pfd_residue
 from respfd.polynomials import Poly
 from respfd.scalars import GaussianRational, format_scalar, latex_scalar
 from tests import reference
-from tests.conftest import GOLDEN_3X3_CHAINS, GOLDEN_3X3_SPIRAL, random_jordan_matrix
+from tests.conftest import GOLDEN_3X3_CHAINS, GOLDEN_3X3_SPIRAL, deadline, random_jordan_matrix
 
 
 def test_parse_golden_matrix_file():
@@ -291,3 +294,21 @@ def test_exp_json_includes_scale_labels():
     sin_term = next(t for t in payload["terms"] if t["kind"] == "sin")
     assert sin_term["scale"] == "1"
     assert sin_term["C"] == [["5/3", "17/3"], ["-2/3", "-5/3"]]
+
+
+# Strings that need escaping (quotes, backslashes, control characters, non-ASCII) and any other character.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()), max_size=6)
+_GAUSSIAN_ENTRY = st.fixed_dictionaries({"re": _JSON_TEXT, "im": _JSON_TEXT})
+_ROW = st.one_of(st.lists(_JSON_TEXT, max_size=5), st.lists(st.one_of(_JSON_TEXT, _GAUSSIAN_ENTRY), max_size=5))
+_PAYLOAD = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(), st.floats(), _GAUSSIAN_ENTRY, _ROW),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_PAYLOAD)
+def test_json_writer_is_byte_identical_to_the_stdlib(payload):
+    with deadline(10):
+        assert _finish_json(payload) == json.dumps(payload, indent=2) + "\n"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from respfd import linalg
 from respfd.errors import DimensionMismatch, InconsistentSystem, MatrixTooLarge
 from respfd.linalg import (
     Matrix,
@@ -153,6 +155,27 @@ def test_faddeev_zero_matrix():
     assert charpoly == Poly((Fraction(0), Fraction(0), Fraction(1)))
     assert adjugate.coeff(1) == Matrix.identity(2)
     assert adjugate.coeff(0).is_zero
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_faddeev_leverrier_takes_n_minus_1_products(monkeypatch, n, gaussian):
+    # B_1 = I, so N B_1 = N needs no product: the sweep multiplies for B_2..B_n only
+    rng = random.Random(100 * n + gaussian)
+
+    def entry():
+        x = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+        return GaussianRational(x, rng.randint(-3, 3)) if gaussian else x
+
+    a = Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+    planes = (a.re, a.im, a.d)
+    calls = []
+    product = linalg._plane_matmul
+    monkeypatch.setattr(linalg, "_plane_matmul", lambda *args: calls.append(args[2:]) or product(*args))
+    result = faddeev_leverrier(a)
+    assert calls == [(n, n, n)] * (n - 1)
+    assert (a.re, a.im, a.d) == planes
+    assert result == reference.faddeev_leverrier(a)
 
 
 def test_adjugate_identity_random(rng):

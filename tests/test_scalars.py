@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respfd.scalars import (
     GaussianRational,
@@ -14,7 +16,9 @@ from respfd.scalars import (
     parse_scalar,
     rational_sqrt,
     scalar_im,
+    spell_integral,
 )
+from tests import reference
 from tests.surds import SqrtExt
 
 
@@ -167,3 +171,15 @@ def test_parse_scalar_unit_imaginary_parts_and_messages():
         parse_rational("-3/0")
     with pytest.raises(ValueError, match=r"^not a rational token: '1\.5'$"):
         parse_rational(" 1.5 ")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_spell_integral_matches_the_per_entry_speller(data):
+    d = data.draw(st.one_of(st.sampled_from([1, 2, 6, 12, 2**45 + 3]), st.integers(1, 10**6)))
+    size = data.draw(st.integers(0, 12))
+    part = st.one_of(st.just(0), st.sampled_from([d, -d]), st.integers(-3 * d, 3 * d), st.integers(-(2**60), 2**60))
+    re = data.draw(st.lists(part, min_size=size, max_size=size))
+    im = data.draw(st.one_of(st.none(), st.lists(part, min_size=size, max_size=size)))
+    for fmt in ("text", "latex", "json"):
+        assert spell_integral(re, im, d, fmt) == reference.spell_integral(re, im, d, fmt)
